@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .adem import AdemElement, Word, degree, word_key
-from .poly import Monomial, monomial_degree, monomial_mul, _sq_monomial
+from .poly import Monomial, monomial_degree, monomial_mul, sq_monomial
 
 #: Auxiliary variable indices for the two expansion directions.
 U, V = 1, 2
@@ -79,9 +79,10 @@ def apply_sq(n: int, cls: SymbolicClass) -> SymbolicClass:
     acc: set[SymTerm] = set()
     for word, mono in cls.terms:
         argument_degree = cls.symbol_degree + degree(word)
-        for r in range(min(n, argument_degree) + 1):
+        # Sq^s of the monomial vanishes for s above its degree.
+        for r in range(max(0, n - monomial_degree(mono)), min(n, argument_degree) + 1):
             new_word = (r,) + word if r else word
-            for new_mono in _sq_monomial(n - r, mono):
+            for new_mono in sq_monomial(n - r, mono):
                 acc.symmetric_difference_update(((new_word, new_mono),))
     return SymbolicClass(cls.symbol_degree, frozenset(acc))
 

@@ -18,7 +18,8 @@ JSON keys being strings) to the list of target ids.  ``products`` keys
 are comma-joined id pairs; pairs are stored with the smaller id first.
 Absent entries mean zero in both tables.  Generator ids must match
 ``[A-Za-z][A-Za-z0-9_]*``.  Loading checks structure only (ids exist,
-shapes are right); semantic checks belong to ``verify_axioms``, so a
+every field has the right JSON type and shape; any violation is a
+``ValueError``); semantic checks belong to ``verify_axioms``, so a
 deliberately wrong action table still loads and can be reported on.
 
 Serialization is canonical: sorted keys, sorted lists, two-space
@@ -31,7 +32,7 @@ import json
 import re
 from pathlib import Path
 
-from .modules import GradedModule
+from .modules import GradedModule, pair_key
 
 _ID_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
@@ -54,6 +55,18 @@ def module_to_dict(module: GradedModule) -> dict:
     }
 
 
+def _array(value, what: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a JSON array")
+    return value
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
+
 def module_from_dict(doc: dict) -> GradedModule:
     if not isinstance(doc, dict):
         raise ValueError("module document must be a JSON object")
@@ -68,7 +81,9 @@ def module_from_dict(doc: dict) -> GradedModule:
 
     generators: list[tuple[str, int]] = []
     ids: set[str] = set()
-    for entry in doc["generators"]:
+    for entry in _array(doc["generators"], "'generators'"):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise ValueError(f"generator entry {entry!r} must be an [id, degree] pair")
         gid, d = entry
         if not isinstance(gid, str) or not _ID_RE.match(gid):
             raise ValueError(f"bad generator id {gid!r}")
@@ -84,31 +99,35 @@ def module_from_dict(doc: dict) -> GradedModule:
         raise ValueError(f"bad unit id {unit!r}")
 
     def known(gid: str, context: str) -> str:
-        if gid not in ids:
+        if not isinstance(gid, str) or gid not in ids:
             raise ValueError(f"{context} refers to unknown generator {gid!r}")
         return gid
 
     sq: dict[tuple[str, int], frozenset[str]] = {}
-    for gid, table in doc["sq"].items():
+    for gid, table in _object(doc["sq"], "'sq'").items():
         known(gid, "sq table")
-        for index, targets in table.items():
-            i = int(index)
+        for index, targets in _object(table, f"sq table of {gid!r}").items():
+            try:
+                i = int(index)
+            except (TypeError, ValueError):
+                raise ValueError(f"sq index {index!r} for {gid!r} must be an integer") from None
             if i < 1:
                 raise ValueError(f"sq index {index!r} for {gid!r} must be >= 1")
-            value = frozenset(known(t, f"Sq{i}({gid})") for t in targets)
+            context = f"Sq{i}({gid})"
+            value = frozenset(known(t, context) for t in _array(targets, context))
             if value:
                 sq[(gid, i)] = value
 
     products: dict[tuple[str, str], frozenset[str]] = {}
-    for key, targets in doc["products"].items():
-        parts = key.split(",")
+    for key, targets in _object(doc["products"], "'products'").items():
+        parts = key.split(",") if isinstance(key, str) else ()
         if len(parts) != 2:
             raise ValueError(f"product key {key!r} must be 'id,id'")
         g, h = (known(p, "product table") for p in parts)
-        pair = (g, h) if g <= h else (h, g)
-        value = frozenset(known(t, f"{g} cup {h}") for t in targets)
+        context = f"{g} cup {h}"
+        value = frozenset(known(t, context) for t in _array(targets, context))
         if value:
-            products[pair] = value
+            products[pair_key(g, h)] = value
 
     return GradedModule(name, tuple(generators), sq, products, top_degree, unit)
 

@@ -27,14 +27,20 @@ SqTable = dict[tuple[str, int], frozenset[str]]
 ProductTable = dict[tuple[str, str], frozenset[str]]
 
 
+def pair_key(g: str, h: str) -> tuple[str, str]:
+    """Key of the unordered pair {g, h} in a product table: ids in string order."""
+    return (g, h) if g <= h else (h, g)
+
+
 @dataclass(frozen=True, eq=False)
 class GradedModule:
     """A finite graded F2-module with a Steenrod action and cup products.
 
     ``sq`` maps (generator, i) with i >= 1 to the F2-sum Sq^i(g);
-    absent keys mean zero.  ``products`` maps unordered generator pairs
-    (stored sorted) to their cup product; absent pairs multiply to
-    zero.  An optional degree-0 ``unit`` acts as a product identity.
+    absent keys mean zero.  ``products`` maps unordered generator pairs,
+    keyed by :func:`pair_key`, to their cup product; absent pairs
+    multiply to zero.  An optional degree-0 ``unit`` acts as a product
+    identity.
     Instances are immutable after construction.
     """
 
@@ -80,8 +86,7 @@ class GradedModule:
                 return frozenset({h})
             if h == self.unit:
                 return frozenset({g})
-        key = (g, h) if g <= h else (h, g)
-        return self.products.get(key, frozenset())
+        return self.products.get(pair_key(g, h), frozenset())
 
     def element(self, gens: str | list[str] | frozenset[str]) -> "ModuleElement":
         ids = frozenset({gens} if isinstance(gens, str) else gens)
@@ -212,7 +217,7 @@ def real_proj(n: int) -> GradedModule:
     for a in range(1, n + 1):
         for b in range(a, n + 1):
             if a + b <= n:
-                products[(f"t{a}", f"t{b}")] = frozenset({f"t{a + b}"})
+                products[pair_key(f"t{a}", f"t{b}")] = frozenset({f"t{a + b}"})
     return GradedModule(f"rp{n}", gens, sq, products, n)
 
 
@@ -234,7 +239,7 @@ def complex_proj(n: int) -> GradedModule:
     for a in range(1, n + 1):
         for b in range(a, n + 1):
             if a + b <= n:
-                products[(f"x{a}", f"x{b}")] = frozenset({f"x{a + b}"})
+                products[pair_key(f"x{a}", f"x{b}")] = frozenset({f"x{a + b}"})
     return GradedModule(f"cp{n}", gens, sq, products, 2 * n)
 
 
@@ -274,8 +279,7 @@ def wedge(left: GradedModule, right: GradedModule) -> GradedModule:
         for (gid, i), targets in module.sq.items():
             sq[(names[gid], i)] = frozenset(names[t] for t in targets)
         for (g, h), targets in module.products.items():
-            a, b = sorted((names[g], names[h]))
-            products[(a, b)] = frozenset(names[t] for t in targets)
+            products[pair_key(names[g], names[h])] = frozenset(names[t] for t in targets)
 
     gens: list[tuple[str, int]] = []
     sq: SqTable = {}

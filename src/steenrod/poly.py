@@ -5,7 +5,21 @@ projective spaces: every variable sits in degree 1, and the action of
 the squares is forced by Sq(t) = t + t^2 together with the Cartan
 formula.  A monomial is a sorted tuple of ``(variable, exponent)``
 pairs with positive exponents; a :class:`PolyElement` is a formal
-F2-sum of monomials.
+F2-sum of monomials.  Tuples are the public form: parsing, printing
+and every function here take and return them.
+
+Inside the action kernel a monomial is packed into one int.  Its
+exponents, in the order of its sorted variables, fill fixed-width
+fields, the first variable in the lowest bits.  The variable names stay
+outside the int, so the kernel caches (``_sq_monomial`` and
+``_act_monomial``) are keyed by exponent vector: ``t3*t7`` and
+``t1*t2`` share one entry, and multiplying two monomials over the same
+variables is integer addition.  The field width (8, 16, 32, ... bits)
+is chosen where a monomial enters the kernel, as the narrowest that
+holds its largest exponent plus the degree of the operator about to be
+applied, and is part of every cache key.  A square only raises
+exponents, by at most its degree in total, so no field can overflow
+and exponents have no size limit.
 
 The action implemented here never touches the rewriting engine in
 :mod:`steenrod.adem`.  That makes :func:`act` an independent oracle:
@@ -16,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .adem import AdemElement, Word, admissible_basis
 from .f2 import binom_mod2
@@ -140,24 +154,88 @@ def cup(p: PolyElement, q: PolyElement) -> PolyElement:
     return PolyElement(acc)
 
 
+def _field_width(bound: int) -> int:
+    """Narrowest field width, 8 bits doubled as needed, holding ``bound``."""
+    width = 8
+    while bound >> width:
+        width *= 2
+    return width
+
+
+def _pack(mono: Monomial, degree: int) -> tuple[tuple[int, ...], int, int]:
+    """Variables, packed exponents and field width of a monomial.
+
+    The width leaves room for operators of total degree up to ``degree``.
+    """
+    if not mono:
+        return (), 0, _field_width(degree)
+    variables, exps = zip(*mono)
+    width = _field_width(max(exps) + degree)
+    if width == 8:
+        return variables, int.from_bytes(bytes(exps), "little"), width
+    packed = 0
+    for exp in reversed(exps):
+        packed = (packed << width) | exp
+    return variables, packed, width
+
+
+def _fields(packed: int, width: int) -> Sequence[int]:
+    """Exponent fields of a packed monomial, up to its last nonzero one."""
+    if width == 8:
+        return packed.to_bytes((packed.bit_length() + 7) >> 3, "little")
+    mask = (1 << width) - 1
+    return [(packed >> shift) & mask for shift in range(0, packed.bit_length(), width)]
+
+
+def _unpack(images: Iterable[int], variables: tuple[int, ...], width: int) -> Iterator[Monomial]:
+    """Tuple monomials of packed images over the given variables."""
+    if width == 8:
+        k = len(variables)
+        return (tuple(zip(variables, image.to_bytes(k, "little"))) for image in images)
+    return (tuple(zip(variables, _fields(image, width))) for image in images)
+
+
 @lru_cache(maxsize=None)
-def _sq_monomial(n: int, mono: Monomial) -> frozenset[Monomial]:
-    # Cartan convolution of Sq^n across the variable factors.  On a
-    # single power, Sq^i(t^e) = C(e, i) t^(e+i); instability falls out
-    # of the binomials, no special casing.  Distinct splits of n land
+def _sq_monomial(n: int, packed: int, width: int) -> frozenset[int]:
+    # Cartan convolution of Sq^n across the exponent fields, slot by
+    # slot.  On a single power, Sq^i(t^e) = C(e, i) t^(e+i), and C(e, i)
+    # is odd exactly when i is a submask of e, so only those i are
+    # tried; instability falls out of the binomials.  Partial images
+    # are grouped by the part of n still to place, and a group dies
+    # when the fields left cannot absorb it.  Distinct splits of n land
     # on distinct exponent vectors, so no cancellation happens here.
     if n == 0:
-        return frozenset({mono})
-    if not mono:
+        return frozenset((packed,))
+    exps = _fields(packed, width)
+    left = sum(exps)
+    if n > left:
         return frozenset()
-    (var, e), rest = mono[0], mono[1:]
-    out: set[Monomial] = set()
-    for i in range(min(n, e) + 1):
-        if binom_mod2(e, i):
-            head = ((var, e + i),)
-            for tail in _sq_monomial(n - i, rest):
-                out.add(head + tail)
-    return frozenset(out)
+    done: list[int] = []
+    groups = {n: [packed]}
+    shift = 0
+    for e in exps:
+        left -= e
+        if e:
+            carried: dict[int, list[int]] = {}
+            for rest, images in groups.items():
+                low = rest - left
+                top = e & ((1 << rest.bit_length()) - 1)
+                i = top
+                while i >= low:
+                    if i <= rest:
+                        step = i << shift
+                        moved = [image + step for image in images] if i else images
+                        if i == rest:
+                            done += moved
+                        else:
+                            bucket = carried.get(rest - i)
+                            carried[rest - i] = moved if bucket is None else bucket + moved
+                    if not i:
+                        break
+                    i = (i - 1) & top
+            groups = carried
+        shift += width
+    return frozenset(done)
 
 
 def sq_on_power(var: int, power: int, n: int) -> PolyElement:
@@ -171,24 +249,35 @@ def sq_on_power(var: int, power: int, n: int) -> PolyElement:
     return PolyElement(frozenset({make_monomial({var: power + n})}))
 
 
+def sq_monomial(n: int, mono: Monomial) -> Iterable[Monomial]:
+    """The monomials of Sq^n(mono); they are distinct, so none cancel."""
+    if n == 0:
+        return (mono,)
+    variables, packed, width = _pack(mono, n)
+    return _unpack(_sq_monomial(n, packed, width), variables, width)
+
+
 def sq(n: int, p: PolyElement) -> PolyElement:
     """Sq^n of a polynomial, by Cartan across factors and linearity."""
     if n < 0:
         raise ValueError("square index must be a natural number")
-    acc: frozenset[Monomial] = frozenset()
+    acc: set[Monomial] = set()
     for mono in p.monomials:
-        acc ^= _sq_monomial(n, mono)
-    return PolyElement(acc)
+        acc.symmetric_difference_update(sq_monomial(n, mono))
+    return PolyElement(frozenset(acc))
 
 
 @lru_cache(maxsize=None)
-def _act_monomial(word: Word, mono: Monomial) -> frozenset[Monomial]:
+def _act_monomial(word: Word, packed: int, width: int) -> frozenset[int]:
     if not word:
-        return frozenset({mono})
-    acc: frozenset[Monomial] = frozenset()
-    for inner in _act_monomial(word[1:], mono):
-        acc ^= _sq_monomial(word[0], inner)
-    return acc
+        return frozenset((packed,))
+    inner = _act_monomial(word[1:], packed, width)
+    if len(inner) == 1:
+        return _sq_monomial(word[0], next(iter(inner)), width)
+    acc: set[int] = set()
+    for mono in inner:
+        acc.symmetric_difference_update(_sq_monomial(word[0], mono, width))
+    return frozenset(acc)
 
 
 def act(element: AdemElement, p: PolyElement) -> PolyElement:
@@ -197,11 +286,16 @@ def act(element: AdemElement, p: PolyElement) -> PolyElement:
     Composition is evaluated square by square through the Cartan
     action; the rewriting engine is never consulted.
     """
-    acc: frozenset[Monomial] = frozenset()
-    for word in element.words:
-        for mono in p.monomials:
-            acc ^= _act_monomial(word, mono)
-    return PolyElement(acc)
+    words = element.words
+    degree = max(map(sum, words), default=0)
+    acc: set[Monomial] = set()
+    for mono in p.monomials:
+        variables, packed, width = _pack(mono, degree)
+        for word in words:
+            images = _act_monomial(word, packed, width)
+            if images:
+                acc.symmetric_difference_update(_unpack(images, variables, width))
+    return PolyElement(frozenset(acc))
 
 
 def total_square(p: PolyElement, var: int) -> PolyElement:
@@ -216,12 +310,20 @@ def total_square(p: PolyElement, var: int) -> PolyElement:
         return PolyElement.zero()
     if var in p.variables():
         raise ValueError(f"t{var} already occurs in the element; pick a fresh variable")
-    acc: frozenset[Monomial] = frozenset()
-    for i in range(m + 1):
-        upow: Monomial = ((var, m - i),) if m - i else ()
-        for mono in sq(i, p).monomials:
-            acc ^= {monomial_mul(mono, upow)}
-    return PolyElement(acc)
+    acc: set[Monomial] = set()
+    for mono in p.monomials:
+        # t_var enters as a zero field that Sq^i leaves alone, so the factor
+        # t_var^(m-i) multiplies in by integer addition; the i = m term has
+        # no t_var factor and comes from the plain monomial.
+        variables, packed, width = _pack(tuple(sorted(mono + ((var, 0),))), m)
+        shift = variables.index(var) * width
+        for i in range(m):
+            upow = (m - i) << shift
+            acc.symmetric_difference_update(
+                _unpack((image + upow for image in _sq_monomial(i, packed, width)), variables, width)
+            )
+        acc.symmetric_difference_update(sq_monomial(m, mono))
+    return PolyElement(frozenset(acc))
 
 
 def coefficient(p: PolyElement, var: int, exp: int) -> PolyElement:
@@ -278,16 +380,13 @@ def faithful_rank(d: int) -> int:
     """
     if d < 0:
         raise ValueError("degree must be a natural number")
-    test_class = PolyElement(frozenset({make_monomial({j: 1 for j in range(1, d + 1)})}))
-    images = [act(AdemElement(frozenset({w})), test_class) for w in admissible_basis(d)]
-    columns: dict[Monomial, int] = {}
-    for image in images:
-        for mono in image.sorted_monomials():
-            columns.setdefault(mono, len(columns))
+    _, packed, width = _pack(tuple((j, 1) for j in range(1, d + 1)), d)
+    # Columns are numbered in first-seen order: the rank does not depend on it.
+    columns: dict[int, int] = {}
     rows = []
-    for image in images:
+    for word in admissible_basis(d):
         mask = 0
-        for mono in image.monomials:
-            mask |= 1 << columns[mono]
+        for mono in _act_monomial(word, packed, width):
+            mask |= 1 << columns.setdefault(mono, len(columns))
         rows.append(mask)
     return rank_f2(rows)

@@ -140,6 +140,24 @@ def test_verify_corrupted_module_file(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("field", ['"generators": [5]', '"sq": []', '"products": {"t1,t1": "t2"}'])
+def test_verify_module_file_with_wrong_types(tmp_path, capsys, field):
+    doc = json.loads(modfile.dumps(real_proj(2)))
+    doc.update(json.loads("{" + field + "}"))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--module", str(path), "--max-degree", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_act_on_an_exponent_beyond_32_bits(capsys):
+    code, out, _ = run(capsys, "act", "--op", "Sq1", "--on", f"t1^{2**40 + 1}")
+    assert code == 0
+    assert out.strip() == f"t1^{2**40 + 2}"
+
+
 def test_verify_bad_module_expression(capsys):
     code, _, err = run(capsys, "verify", "--module", "nope(1)", "--max-degree", "4")
     assert code == 2

@@ -229,6 +229,67 @@ def test_module_file_rejects_bad_documents():
         )
 
 
+def _document(**fields) -> dict:
+    """A valid rp2 document with the given fields replaced."""
+    doc = {
+        "name": "rp2",
+        "top_degree": 2,
+        "unit": None,
+        "generators": [["t1", 1], ["t2", 2]],
+        "sq": {"t1": {"1": ["t2"]}},
+        "products": {"t1,t1": ["t2"]},
+    }
+    doc.update(fields)
+    return doc
+
+
+def test_module_file_template_is_valid():
+    module = modfile.module_from_dict(_document())
+    assert verify_axioms(module, 2).ok
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"generators": [5]},
+        {"generators": {"t1": 1}},
+        {"generators": [["t1", 1, 2]]},
+        {"sq": []},
+        {"sq": {"t1": []}},
+        {"sq": {"t1": {"1": "t2"}}},
+        {"sq": {"t1": {"one": ["t2"]}}},
+        {"sq": {"t1": {"1": [["t2"]]}}},
+        {"products": []},
+        {"products": {"t1,t1": "t2"}},
+        {"products": {"t1,t1": [7]}},
+    ],
+    ids=lambda fields: repr(fields),
+)
+def test_module_file_type_errors_are_value_errors(fields):
+    with pytest.raises(ValueError):
+        modfile.module_from_dict(_document(**fields))
+
+
+def test_module_file_rejects_non_string_product_key():
+    with pytest.raises(ValueError):
+        modfile.module_from_dict(_document(products={("t1", "t1"): ["t2"]}))
+
+
+def test_projective_spaces_store_products_in_string_order():
+    # t10 < t2 as strings: the key must be ("t10", "t2"), or the product reads as zero
+    assert real_proj(12).cup_gens("t2", "t10") == frozenset({"t12"})
+    assert complex_proj(12).cup_gens("x10", "x2") == frozenset({"x12"})
+    assert verify_axioms(real_proj(30), 30).ok
+    assert verify_axioms(complex_proj(15), 30).ok
+
+
+def test_module_file_round_trip_past_nine_generators():
+    text = modfile.dumps(real_proj(12))
+    assert modfile.dumps(modfile.loads(text)) == text
+    text = modfile.dumps(complex_proj(12))
+    assert modfile.dumps(modfile.loads(text)) == text
+
+
 def test_module_file_loads_semantically_wrong_tables():
     # structure-only validation: a wrong action table loads, verify reports it
     bad = corrupted_rp4()

@@ -1,6 +1,11 @@
 """Cartan action on polynomial models and its structural properties."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +178,8 @@ def test_faithful_rank_examples():
     assert faithful_rank(0) == 1
     assert faithful_rank(1) == 1
     assert faithful_rank(3) == len(admissible_basis(3)) == 2
+    for d in range(13):
+        assert faithful_rank(d) == len(admissible_basis(d)), d
 
 
 def test_excess_vanishing():
@@ -211,3 +218,86 @@ def test_poly_string_and_order():
     # graded order, t1-heavy monomials first within a degree
     p = parse_poly("t2^2 + t1*t2 + t1^2 + t1")
     assert str(p) == "t1 + t1^2 + t1*t2 + t2^2"
+
+
+def cartan_reference(word, mono) -> PolyElement:
+    """Apply a word square by square through the Cartan formula on single powers."""
+    current = as_poly(mono)
+    for n in reversed(word):
+        image = PolyElement.zero()
+        for m in current.monomials:
+            # Sq^n(prod t_v^e_v) = sum over splits of n of prod Sq^i_v(t_v^e_v)
+            partial = {0: PolyElement.one()}
+            for var, exp in m:
+                nxt = {}
+                for used, factor in partial.items():
+                    for i in range(n - used + 1):
+                        term = cup(factor, sq_on_power(var, exp, i))
+                        nxt[used + i] = nxt.get(used + i, PolyElement.zero()) + term
+                partial = nxt
+            image += partial.get(n, PolyElement.zero())
+        current = image
+    return current
+
+
+def test_act_depends_only_on_exponents():
+    # t2*t5^3*t11^2 and t1*t2^3*t3^2 share one kernel cache entry per word;
+    # each image must be the renamed image of the other.
+    sparse = parse_poly("t2*t5^3*t11^2")
+    dense = parse_poly("t1*t2^3*t3^2")
+    (mono,) = sparse.monomials
+    words = [w for d in range(1, 8) for w in admissible_basis(d)] + [(1, 2), (2, 2), (3, 1, 2)]
+    for word in words:
+        op = AdemElement(frozenset({word}))
+        image_sparse, image_dense = act(op, sparse), act(op, dense)
+        renamed = substitute(substitute(substitute(image_dense, 3, 11), 2, 5), 1, 2)
+        assert image_sparse == renamed, word
+        assert image_sparse == cartan_reference(word, mono), word
+
+
+def test_act_on_a_product_of_1100_variables():
+    # One slot per variable; the convolution must not recurse per variable.
+    p = parse_poly("*".join(f"t{j}" for j in range(1, 1101)))
+    image = act(Sq(1), p)
+    assert len(image.monomials) == 1100
+    for j in (1, 550, 1100):
+        doubled = make_monomial({**{v: 1 for v in range(1, 1101)}, j: 2})
+        assert doubled in image.monomials
+
+
+def test_exponents_beyond_32_bits_stay_exact():
+    big = 2**40 + 1
+    assert sq(1, parse_poly(f"t1^{big}")) == parse_poly(f"t1^{big + 1}")
+    p = parse_poly(f"t1^{big}*t3")
+    assert act(Sq(2, 1), p) == parse_poly(f"t1^{big + 3}*t3 + t1^{big}*t3^4")
+    assert act(Sq(2, 1), p) == cartan_reference((2, 1), next(iter(p.monomials)))
+    # 2^64 - 1 + 1 does not fit 64 bits: the field must be wider, or the
+    # carry would land in t7's field
+    q = parse_poly(f"t2^{2**64 - 1}*t7")
+    assert sq(1, q) == parse_poly(f"t2^{2**64}*t7 + t2^{2**64 - 1}*t7^2")
+    # C(2^40 + 3, i) is odd for i = 2, 3: Sq^3 = Sq^3(t1^e) t2 + Sq^2(t1^e) Sq^1(t2)
+    assert sq(3, parse_poly(f"t1^{2**40 + 3}*t2")) == parse_poly(
+        f"t1^{2**40 + 6}*t2 + t1^{2**40 + 5}*t2^2"
+    )
+
+
+def test_kernel_caches_are_empty_lru_caches_after_import():
+    # A fresh interpreter: tooling that reads cache_info() relies on these names,
+    # and the action stays independent of the rewriting engine.
+    probe = """
+import functools, json
+import steenrod
+from steenrod import adem, poly
+caches = [poly._sq_monomial, poly._act_monomial]
+rewriting = [adem, adem.normalize, adem.product]
+print(json.dumps({
+    "lru": [isinstance(c, functools._lru_cache_wrapper) for c in caches],
+    "sizes": [c.cache_info().currsize for c in caches],
+    "imports_rewriting": [any(v is f for v in vars(poly).values()) for f in rewriting],
+}))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    report = json.loads(out.stdout)
+    assert report == {"lru": [True, True], "sizes": [0, 0], "imports_rewriting": [False, False, False]}
