@@ -23,19 +23,10 @@ from .adem import (
     admissible_basis,
     normalize,
 )
-from .derive import derive_adem_relations
-from .modules import (
-    GradedModule,
-    complex_proj,
-    distinguish_pi4,
-    real_proj,
-    sphere,
-    suspend,
-    verify_axioms,
-    wedge,
-)
-from .poly import PolyElement, act, faithful_rank, make_monomial, total_square
-from .parsing import ParseError, parse_poly, parse_sq
+from .derive import certify_relations
+from .modules import GradedModule, distinguish_pi4, verify_axioms
+from .poly import act, faithful_rank, total_square
+from .parsing import ParseError, parse_module, parse_poly, parse_sq
 from . import modfile
 
 EXIT_OK = 0
@@ -52,68 +43,11 @@ def _emit(payload: dict, text_lines: list[str], as_json: bool) -> None:
             print(line)
 
 
-def _words_as_lists(element: AdemElement) -> list[list[int]]:
-    return [list(w) for w in element.sorted_words()]
-
-
-# ---------------------------------------------------------------------------
-# Builtin module constructor grammar: s<n>, rp<n>, cp<n>, wedge(a,b), susp(a)
-
-class _ModuleExprParser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def parse(self) -> GradedModule:
-        module = self._expr()
-        if self.text[self.pos :].strip():
-            raise ValueError(f"trailing input in module expression: {self.text[self.pos:]!r}")
-        return module
-
-    def _expr(self) -> GradedModule:
-        self._skip_ws()
-        if self.text.startswith("wedge(", self.pos):
-            self.pos += len("wedge(")
-            left = self._expr()
-            self._expect(",")
-            right = self._expr()
-            self._expect(")")
-            return wedge(left, right)
-        if self.text.startswith("susp(", self.pos):
-            self.pos += len("susp(")
-            inner = self._expr()
-            self._expect(")")
-            return suspend(inner)
-        m = re.compile(r"(rp|cp|s)(\d+)").match(self.text, self.pos)
-        if not m:
-            raise ValueError(
-                f"expected s<n>, rp<n>, cp<n>, wedge(...) or susp(...) "
-                f"at position {self.pos} of {self.text!r}"
-            )
-        self.pos = m.end()
-        kind, n = m.group(1), int(m.group(2))
-        if kind == "s":
-            return sphere(n)
-        if kind == "rp":
-            return real_proj(n)
-        return complex_proj(n)
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _expect(self, literal: str) -> None:
-        self._skip_ws()
-        if not self.text.startswith(literal, self.pos):
-            raise ValueError(f"expected {literal!r} at position {self.pos} of {self.text!r}")
-        self.pos += len(literal)
-
-
 def resolve_module(name_or_path: str) -> GradedModule:
     """A module from a builtin constructor expression or a definition file."""
     if name_or_path.endswith(".json") or os.path.exists(name_or_path):
         return modfile.load(name_or_path)
-    return _ModuleExprParser(name_or_path).parse()
+    return parse_module(name_or_path)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +60,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     payload = {
         "input": args.expr,
         "normal_form": str(result),
-        "words": _words_as_lists(result),
+        "words": [list(w) for w in result.sorted_words()],
         "admissible": result.is_admissible(),
     }
     _emit(payload, [str(result)], args.json)
@@ -186,77 +120,27 @@ def _cmd_total_square(args: argparse.Namespace) -> int:
 
 def _cmd_derive_adem(args: argparse.Namespace) -> int:
     m = args.degree
-    relations = derive_adem_relations(m)
-    certificates = []
-    any_failure = False
-    for relation in relations:
-        normal_form = normalize(relation)
-        is_zero = normal_form.is_zero()
-        oracle_ok = _oracle_zero_in_degree(relation, m)
-        if not is_zero:
-            any_failure = True
-        certificates.append(
-            {
-                "relation": str(relation),
-                "words": _words_as_lists(relation),
-                "normal_form": str(normal_form),
-                "normalizes_to_zero": is_zero,
-                "vanishes_on_degree_m_classes": oracle_ok,
-            }
-        )
+    certificates = certify_relations(m)
+    all_zero = all(cert.normalizes_to_zero for cert in certificates)
     payload = {
         "degree": m,
-        "relation_count": len(relations),
-        "relations": certificates,
-        "all_normalize_to_zero": not any_failure,
+        "relation_count": len(certificates),
+        "relations": [cert.as_dict() for cert in certificates],
+        "all_normalize_to_zero": all_zero,
     }
     lines = []
     for cert in certificates:
-        status = "0" if cert["normalizes_to_zero"] else cert["normal_form"]
+        status = "0" if cert.normalizes_to_zero else str(cert.normal_form)
         lines.append(
-            f"{cert['relation']}  ->  normal form: {status}"
-            + ("" if cert["normalizes_to_zero"] else "  [nonzero: holds on degree-%d classes only]" % m)
+            f"{cert.relation}  ->  normal form: {status}"
+            + ("" if cert.normalizes_to_zero else "  [nonzero: holds on degree-%d classes only]" % m)
         )
     lines.append(
-        f"{len(relations)} relation(s); "
-        + ("all normalize to 0" if not any_failure else "some hold only in source degree %d" % m)
+        f"{len(certificates)} relation(s); "
+        + ("all normalize to 0" if all_zero else "some hold only in source degree %d" % m)
     )
     _emit(payload, lines, args.json)
-    return EXIT_OK if not any_failure else EXIT_VERIFY_FAILED
-
-
-def _oracle_zero_in_degree(relation: AdemElement, m: int) -> bool:
-    # Action check on every degree-m monomial in up to six variables:
-    # the relation must kill all of them.
-    nvars = min(m, 6) if m else 1
-    monos = _monomials_of_degree(m, nvars)
-    for mono in monos:
-        p = PolyElement(frozenset({mono}))
-        if not act(relation, p).is_zero():
-            return False
-    return True
-
-
-def _monomials_of_degree(d: int, nvars: int) -> list:
-    if nvars == 0:
-        return [()] if d == 0 else []
-    out = []
-
-    def rec(var: int, remaining: int, acc: dict[int, int]) -> None:
-        if var == nvars - 1:
-            if remaining:
-                acc[var + 1] = remaining
-            out.append(make_monomial(dict(acc)))
-            acc.pop(var + 1, None)
-            return
-        for e in range(remaining + 1):
-            if e:
-                acc[var + 1] = e
-            rec(var + 1, remaining - e, acc)
-            acc.pop(var + 1, None)
-
-    rec(0, d, {})
-    return out
+    return EXIT_OK if all_zero else EXIT_VERIFY_FAILED
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -24,14 +24,18 @@ degree-m class; most also hold in every degree, but some are
 degree-m-only facts (for example Sq1 Sq2 vanishes on degree-2
 classes), and those normalize to a nonzero admissible sum whose
 words all have excess above m.
+
+:func:`certify_relations` attaches two independent certificates to
+each relation: its normal form under Adem rewriting, and its value
+under the Cartan action on the squarefree class t1...tm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .adem import AdemElement, Word, degree, word_key
-from .poly import Monomial, monomial_degree, monomial_mul, sq_monomial
+from .adem import AdemElement, Word, degree, normalize, word_key
+from .poly import Monomial, PolyElement, act, monomial_degree, monomial_mul, sq_monomial
 
 #: Auxiliary variable indices for the two expansion directions.
 U, V = 1, 2
@@ -128,3 +132,48 @@ def derive_adem_relations(m: int) -> list[AdemElement]:
 
     relations = {frozenset(words) for words in by_monomial.values() if words}
     return [AdemElement(words) for words in sorted(relations, key=_relation_key)]
+
+
+def vanishes_on_degree(element: AdemElement, m: int) -> bool:
+    """Whether the element acts as zero on every class of degree m.
+
+    Evaluates the element once, through the Cartan action, on the
+    squarefree class t1...tm.  That one evaluation decides every
+    degree-m class: admissible words of excess above m kill all of
+    them, and the Sq^I(t1...tm) with I admissible of excess at most m
+    are linearly independent (Steenrod-Epstein, ch. I).
+    """
+    if m < 0:
+        raise ValueError("degree must be a natural number")
+    squarefree = PolyElement(frozenset({tuple((j, 1) for j in range(1, m + 1))}))
+    return act(element, squarefree).is_zero()
+
+
+@dataclass(frozen=True)
+class RelationCertificate:
+    """A derived relation with its normal form and its action verdict."""
+
+    relation: AdemElement
+    normal_form: AdemElement
+    vanishes_on_degree_m_classes: bool
+
+    @property
+    def normalizes_to_zero(self) -> bool:
+        return self.normal_form.is_zero()
+
+    def as_dict(self) -> dict:
+        return {
+            "relation": str(self.relation),
+            "words": [list(w) for w in self.relation.sorted_words()],
+            "normal_form": str(self.normal_form),
+            "normalizes_to_zero": self.normalizes_to_zero,
+            "vanishes_on_degree_m_classes": self.vanishes_on_degree_m_classes,
+        }
+
+
+def certify_relations(m: int) -> list[RelationCertificate]:
+    """The relations forced on degree-m classes, each with its certificates."""
+    return [
+        RelationCertificate(relation, normalize(relation), vanishes_on_degree(relation, m))
+        for relation in derive_adem_relations(m)
+    ]

@@ -19,8 +19,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .adem import AdemElement, Word
-from .f2 import adem_coeff, binom_mod2
+from .adem import AdemElement, adem_rewrite
+from .f2 import binom_mod2
 from .linalg import matrix_rank
 
 SqTable = dict[tuple[str, int], frozenset[str]]
@@ -363,17 +363,6 @@ class VerifyReport:
         }
 
 
-def _adem_rhs_words(n: int, k: int) -> list[Word]:
-    # Right-hand side of the Adem identity for Sq^n Sq^k, n < 2k,
-    # assembled from the coefficient formula alone (the rewriting
-    # engine stays out of the verifier).
-    words = []
-    for c in range(n // 2 + 1):
-        if adem_coeff(n, k, c):
-            words.append((n + k - c,) if c == 0 else ((n + k - c, c)))
-    return words
-
-
 def verify_axioms(module: GradedModule, max_degree: int, *, rng_seed: int = 0) -> VerifyReport:
     """Check the Steenrod axioms on a module up to the given degree.
 
@@ -482,13 +471,15 @@ def verify_axioms(module: GradedModule, max_degree: int, *, rng_seed: int = 0) -
                 if both != split:
                     fail("additivity", f"{word} on degree {d}", "action is not additive")
 
-    # (A) Adem identities, both sides evaluated through the action.
+    # (A) Adem identities, both sides evaluated through the action.  The
+    # right side is the one-pair expansion alone; the rewriting loop of
+    # normalize stays out of the verifier.
     for k in range(1, max_degree):
         for n in range(1, min(2 * k, max_degree - k + 1)):
             if n + k > max_degree:
                 continue
             lhs_op = AdemElement(frozenset({(n, k)}))
-            rhs_op = AdemElement(frozenset(_adem_rhs_words(n, k)))
+            rhs_op = AdemElement(adem_rewrite(n, k))
             for gid, d in positive:
                 if d > max_degree:
                     continue

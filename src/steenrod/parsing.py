@@ -1,4 +1,4 @@
-"""Parsers for the two surface syntaxes.
+"""Parsers for the surface syntaxes.
 
 Sq expressions::
 
@@ -11,10 +11,15 @@ Polynomials::
     mono   := '1' | factor ('*' factor)*
     factor := 't' idx ('^' nat)?       (idx >= 1)
 
+Module expressions, naming the builtin constructors::
+
+    module := 's' nat | 'rp' nat | 'cp' nat
+            | 'wedge(' module ',' module ')' | 'susp(' module ')'
+
 Whitespace is free around tokens.  As an extension, the single token
-``0`` denotes the zero element in both grammars, so printing and
-parsing round-trip on every element.  Errors carry the offending
-position.
+``0`` denotes the zero element in the Sq and polynomial grammars, so
+printing and parsing round-trip on every element.  Errors carry the
+offending position.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import re
 
 from .adem import AdemElement, Word
+from .modules import GradedModule, complex_proj, real_proj, sphere, suspend, wedge
 from .poly import Monomial, PolyElement
 
 
@@ -38,6 +44,12 @@ _WS_RE = re.compile(r"\s*")
 _SQ_RE = re.compile(r"Sq(\d+)")
 _VAR_RE = re.compile(r"t(\d+)")
 _NAT_RE = re.compile(r"\d+")
+_SPACE_RE = re.compile(r"(rp|cp|s)(\d+)")
+_SPACES = {"s": sphere, "rp": real_proj, "cp": complex_proj}
+
+#: Deepest wedge/susp nesting parse_module accepts; the parser recurses
+#: once per level, so this keeps it far from the interpreter's limit.
+_MAX_MODULE_NESTING = 200
 
 
 class _Scanner:
@@ -142,3 +154,39 @@ def _parse_poly_mono(scanner: _Scanner) -> Monomial:
         if not scanner.take("*"):
             break
     return tuple(sorted(exponents.items()))
+
+
+def parse_module(text: str) -> GradedModule:
+    """Build the module a constructor expression names, e.g. ``wedge(susp(cp2),s3)``."""
+    scanner = _Scanner(text)
+    module = _parse_module_expr(scanner, 0)
+    if not scanner.at_end():
+        raise scanner.error("expected end of module expression")
+    return module
+
+
+def _parse_module_expr(scanner: _Scanner, depth: int) -> GradedModule:
+    if depth > _MAX_MODULE_NESTING:
+        raise scanner.error(f"module expression nested deeper than {_MAX_MODULE_NESTING} levels")
+    if scanner.take("wedge("):
+        left = _parse_module_expr(scanner, depth + 1)
+        if not scanner.take(","):
+            raise scanner.error("expected ','")
+        right = _parse_module_expr(scanner, depth + 1)
+        if not scanner.take(")"):
+            raise scanner.error("expected ')'")
+        return wedge(left, right)
+    if scanner.take("susp("):
+        inner = _parse_module_expr(scanner, depth + 1)
+        if not scanner.take(")"):
+            raise scanner.error("expected ')'")
+        return suspend(inner)
+    scanner.skip_ws()
+    start = scanner.pos
+    m = scanner.match(_SPACE_RE)
+    if not m:
+        raise scanner.error("expected s<n>, rp<n>, cp<n>, wedge(...) or susp(...)")
+    try:
+        return _SPACES[m.group(1)](int(m.group(2)))
+    except ValueError as err:
+        raise ParseError(str(err), start) from None

@@ -269,15 +269,20 @@ def sq(n: int, p: PolyElement) -> PolyElement:
 
 @lru_cache(maxsize=None)
 def _act_monomial(word: Word, packed: int, width: int) -> frozenset[int]:
-    if not word:
-        return frozenset((packed,))
-    inner = _act_monomial(word[1:], packed, width)
-    if len(inner) == 1:
-        return _sq_monomial(word[0], next(iter(inner)), width)
-    acc: set[int] = set()
-    for mono in inner:
-        acc.symmetric_difference_update(_sq_monomial(word[0], mono, width))
-    return frozenset(acc)
+    # Folds the word rightmost square first, in a loop, so its length is
+    # not bounded by the interpreter's recursion limit.
+    images = frozenset((packed,))
+    for n in reversed(word):
+        if len(images) == 1:
+            images = _sq_monomial(n, next(iter(images)), width)
+        else:
+            acc: set[int] = set()
+            for mono in images:
+                acc.symmetric_difference_update(_sq_monomial(n, mono, width))
+            images = frozenset(acc)
+        if not images:
+            break
+    return images
 
 
 def act(element: AdemElement, p: PolyElement) -> PolyElement:

@@ -158,6 +158,24 @@ def test_act_on_an_exponent_beyond_32_bits(capsys):
     assert out.strip() == f"t1^{2**40 + 2}"
 
 
+def test_act_with_a_word_of_1100_squares(capsys):
+    word = " ".join(f"Sq{2**j}" for j in reversed(range(1100)))
+    code, out, _ = run(capsys, "act", "--op", word, "--on", "t1")
+    assert code == 0
+    assert out.strip() == f"t1^{2**1100}"
+    code, out, _ = run(capsys, "act", "--op", " ".join(["Sq1"] * 1100), "--on", "t1")
+    assert code == 0
+    assert out.strip() == "0"
+
+
+def test_verify_deeply_nested_module_expression(capsys):
+    expr = "susp(" * 1200 + "s1" + ")" * 1200
+    code, out, err = run(capsys, "verify", "--module", expr, "--max-degree", "4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_bad_module_expression(capsys):
     code, _, err = run(capsys, "verify", "--module", "nope(1)", "--max-degree", "4")
     assert code == 2

@@ -10,8 +10,10 @@ from steenrod.derive import (
     U,
     V,
     apply_sq,
+    certify_relations,
     derive_adem_relations,
     total_square_symbolic,
+    vanishes_on_degree,
 )
 from steenrod.poly import PolyElement, act, make_monomial
 
@@ -86,14 +88,26 @@ def test_relations_nonempty_and_homogeneous():
 
 
 def test_relations_vanish_on_degree_m_classes():
-    # independent oracle: every relation kills every degree-m monomial
+    # independent oracle: every relation kills every degree-m monomial,
+    # and its certificate, evaluated on t1...tm alone, says so
     for m in range(1, 7):
         nvars = min(m, 6)
         monos = list(degree_m_monomials(m, nvars))
-        for rel in derive_adem_relations(m):
+        certificates = certify_relations(m)
+        assert [c.relation for c in certificates] == derive_adem_relations(m)
+        for cert in certificates:
+            rel = cert.relation
             for mono in monos:
                 p = PolyElement(frozenset({mono}))
                 assert act(rel, p).is_zero(), (m, str(rel), mono)
+            assert cert.vanishes_on_degree_m_classes, (m, str(rel))
+            assert cert.normal_form == normalize(rel)
+
+
+def test_vanishes_on_degree_detects_a_nonzero_operation():
+    # Sq1 Sq2 = Sq3 is the cup square on degree-3 classes
+    assert not vanishes_on_degree(Sq(1, 2), 3)
+    assert vanishes_on_degree(Sq(1, 2), 2)
 
 
 def test_relation_residues_are_excess_dead():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steenrod.adem import AdemElement
-from steenrod.parsing import ParseError, parse_poly, parse_sq
+from steenrod.parsing import ParseError, parse_module, parse_poly, parse_sq
 from steenrod.poly import PolyElement, make_monomial
 
 words = st.lists(st.integers(1, 12), max_size=5).map(tuple)
@@ -85,3 +85,39 @@ def test_sq_print_parse_print_idempotent(element):
 def test_whitespace_is_free():
     assert parse_sq("  Sq2   Sq1+Sq3 ") == parse_sq("Sq2 Sq1 + Sq3")
     assert parse_poly(" t1 ^2 * t2 ") == parse_poly("t1^2*t2")
+
+
+def test_parse_module_names():
+    for text, name in [
+        ("s3", "s3"),
+        ("wedge(s5,s3)", "wedge(s5,s3)"),
+        ("susp(cp2)", "susp(cp2)"),
+        ("wedge(susp(rp2), s1)", "wedge(susp(rp2),s1)"),
+    ]:
+        module = parse_module(text)
+        assert module.name == name
+        assert parse_module(module.name).name == name
+
+
+def test_parse_module_error_positions():
+    with pytest.raises(ParseError) as err:
+        parse_module("wedge(s5")
+    assert err.value.position == 8
+    assert "','" in err.value.message
+    with pytest.raises(ParseError) as err:
+        parse_module("s3 junk")
+    assert err.value.position == 3
+    with pytest.raises(ParseError) as err:
+        parse_module("nope(1)")
+    assert err.value.position == 0
+    assert "expected" in err.value.message
+    with pytest.raises(ParseError) as err:
+        parse_module("wedge(s2, s0)")
+    assert err.value.position == 10
+
+
+def test_parse_module_nesting_is_bounded():
+    assert parse_module("susp(" * 50 + "s1" + ")" * 50).top_degree == 51
+    with pytest.raises(ParseError) as err:
+        parse_module("susp(" * 1200 + "s1" + ")" * 1200)
+    assert "nested" in err.value.message

@@ -11,7 +11,7 @@ import pytest
 
 from steenrod.adem import AdemElement, Sq, admissible_basis, excess
 from steenrod.f2 import adem_coeff
-from steenrod.parsing import parse_poly
+from steenrod.parsing import parse_poly, parse_sq
 from steenrod.poly import (
     PolyElement,
     act,
@@ -263,6 +263,14 @@ def test_act_on_a_product_of_1100_variables():
     for j in (1, 550, 1100):
         doubled = make_monomial({**{v: 1 for v in range(1, 1101)}, j: 2})
         assert doubled in image.monomials
+
+
+def test_act_with_a_word_of_1100_squares():
+    # The word is folded in a loop, not by one recursion per square.
+    t1 = parse_poly("t1")
+    doubling = Sq(*(2**j for j in reversed(range(1100))))
+    assert act(doubling, t1) == parse_poly(f"t1^{2**1100}")
+    assert act(parse_sq(" ".join(["Sq1"] * 1100)), t1).is_zero()
 
 
 def test_exponents_beyond_32_bits_stay_exact():
