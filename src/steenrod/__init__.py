@@ -8,6 +8,7 @@ computation that distinguishes the suspension of CP^2 from S^5 v S^3,
 showing pi_4(S^3) is nonzero.
 """
 
+from . import adem as _adem, poly as _poly
 from .adem import (
     AdemElement,
     Sq,
@@ -68,6 +69,29 @@ from .poly import (
 
 __version__ = "0.1.0"
 
+
+def cache_info() -> dict[str, int]:
+    """Entry counts of the engine's caches.
+
+    ``nf_cache`` holds normal forms of single words (``normalize``);
+    ``sq_monomial`` and ``act_monomial`` hold the Cartan action on
+    packed monomials (``act``, ``sq``, ``total_square``,
+    ``faithful_rank``).  All three grow without bound.
+    """
+    return {
+        "nf_cache": len(_adem._NF_CACHE),
+        "sq_monomial": _poly._sq_monomial.cache_info().currsize,
+        "act_monomial": _poly._act_monomial.cache_info().currsize,
+    }
+
+
+def clear_caches() -> None:
+    """Empty the three caches of :func:`cache_info`; results do not change."""
+    _adem._NF_CACHE.clear()
+    _poly._sq_monomial.cache_clear()
+    _poly._act_monomial.cache_clear()
+
+
 __all__ = [
     "AdemElement",
     "GradedModule",
@@ -89,9 +113,11 @@ __all__ = [
     "admissible_basis",
     "binom_mod2",
     "builtin_catalog",
+    "cache_info",
     "certify_relations",
     "check_tautological_vanishing",
     "check_total_sq_multiplicative",
+    "clear_caches",
     "coefficient",
     "complex_proj",
     "cup",

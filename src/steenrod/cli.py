@@ -5,7 +5,8 @@ Results go to stdout, diagnostics to stderr.  Every subcommand takes
 sorted keys so identical inputs give byte-identical output.
 
 Exit codes: 0 success, 1 a verification report contains failures,
-2 parse or usage error, 3 rewrite step budget exceeded.
+2 parse or usage error, 3 rewrite step budget exceeded, 4 memory or
+recursion depth exhausted.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_RESOURCE = 4
 
 
 def _emit(payload: dict, text_lines: list[str], as_json: bool) -> None:
@@ -256,6 +258,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except (MemoryError, RecursionError) as err:
+        print(f"error: resources exhausted ({type(err).__name__})", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

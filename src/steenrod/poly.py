@@ -303,6 +303,26 @@ def act(element: AdemElement, p: PolyElement) -> PolyElement:
     return PolyElement(frozenset(acc))
 
 
+def _nonzero_square_degrees(exps: Iterable[int]) -> set[int]:
+    """The i for which Sq^i of the monomial with these exponents can be nonzero.
+
+    By Cartan, Sq^i is a sum over splits of i into one part per
+    exponent e, and the part C(e, j) t^(e+j) is nonzero exactly when j
+    is a binary submask of e.  So i must be a sum of one submask per
+    exponent.  The set has at most as many elements as the total
+    square has terms.
+    """
+    sums = {0}
+    for e in exps:
+        submasks = [e]
+        j = e
+        while j:
+            j = (j - 1) & e
+            submasks.append(j)
+        sums = {s + j for s in sums for j in submasks}
+    return sums
+
+
 def total_square(p: PolyElement, var: int) -> PolyElement:
     """Generating function of all squares of a homogeneous element.
 
@@ -322,7 +342,9 @@ def total_square(p: PolyElement, var: int) -> PolyElement:
         # no t_var factor and comes from the plain monomial.
         variables, packed, width = _pack(tuple(sorted(mono + ((var, 0),))), m)
         shift = variables.index(var) * width
-        for i in range(m):
+        for i in _nonzero_square_degrees(exp for _, exp in mono):
+            if i == m:
+                continue
             upow = (m - i) << shift
             acc.symmetric_difference_update(
                 _unpack((image + upow for image in _sq_monomial(i, packed, width)), variables, width)

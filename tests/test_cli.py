@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from steenrod import modfile
+from steenrod import cli, modfile
 from steenrod.cli import main, resolve_module
 from steenrod.modules import GradedModule, real_proj
 
@@ -83,6 +83,12 @@ def test_total_square_symbolic_variable_name(capsys):
     assert payload["result"] == "t1^2 + t1*t2"
 
 
+def test_total_square_of_a_power_beyond_32_bits(capsys):
+    code, out, _ = run(capsys, "total-square", "--on", f"t1^{2**40}", "--json")
+    assert code == 0
+    assert json.loads(out)["result"] == f"t1^{2**41} + t1^{2**40}*t2^{2**40}"
+
+
 def test_total_square_rejects_used_variable(capsys):
     code, _, err = run(capsys, "total-square", "--on", "t1*t2", "--var", "t2")
     assert code == 2
@@ -150,6 +156,18 @@ def test_verify_module_file_with_wrong_types(tmp_path, capsys, field):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_exhausted_resources_exit_code(capsys, monkeypatch, error):
+    def exhausted(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr(cli, "certify_relations", exhausted)
+    code, out, err = run(capsys, "derive-adem", "--degree", "3", "--json")
+    assert code == 4 == cli.EXIT_RESOURCE
+    assert out == ""
+    assert err == f"error: resources exhausted ({error.__name__})\n"
 
 
 def test_act_on_an_exponent_beyond_32_bits(capsys):

@@ -1,16 +1,22 @@
 """Graded module catalog, axiom verifier, and the pi_4(S^3) comparison."""
 
+import random
+
 import pytest
 
 from steenrod import modfile
-from steenrod.adem import AdemElement, Sq
+from steenrod.adem import AdemElement, Sq, adem_rewrite
 from steenrod.modules import (
+    AxiomFailure,
     GradedModule,
+    ModuleElement,
+    VerifyReport,
     act_on_module,
     complex_proj,
     cup_elements,
     distinguish_pi4,
     full_verification_catalog,
+    pair_key,
     point,
     real_proj,
     sphere,
@@ -295,3 +301,195 @@ def test_module_file_loads_semantically_wrong_tables():
     bad = corrupted_rp4()
     again = modfile.loads(modfile.dumps(bad))
     assert not verify_axioms(again, 4).ok
+
+
+# ---------------------------------------------------------------------------
+# The table-driven verifier against the loops it replaced
+
+
+def _reference_verify_axioms(module: GradedModule, max_degree: int, *, rng_seed: int = 0) -> VerifyReport:
+    """The verifier as it was before the square table: every Sq^i through sq_gen.
+
+    It walks i = 0..n for every n of every Cartan check and evaluates the
+    Adem identities with act_on_module, so it shares no loop with
+    verify_axioms beyond the table-consistency pass.
+    """
+    failures: list[AxiomFailure] = []
+    checks = 0
+
+    def fail(axiom: str, where: str, detail: str) -> None:
+        failures.append(AxiomFailure(axiom, where, detail))
+
+    def apply_sq(i, gens):
+        acc = frozenset()
+        for g in gens:
+            acc ^= module.sq_gen(g, i)
+        return acc
+
+    def cup_sets(xs, ys):
+        acc = frozenset()
+        for g in xs:
+            for h in ys:
+                acc ^= module.cup_gens(g, h)
+        return acc
+
+    for (gid, i), targets in sorted(module.sq.items()):
+        checks += 1
+        d = module.degree_of(gid)
+        if i < 1:
+            fail("table", f"Sq{i}({gid})", "stored square index must be >= 1")
+            continue
+        if i > d:
+            fail("(I2)", f"Sq{i}({gid})", f"stored entry above generator degree {d}")
+        for t in sorted(targets):
+            if module.degree_of(t) != d + i:
+                fail("degree", f"Sq{i}({gid})", f"target {t} has degree {module.degree_of(t)}, expected {d + i}")
+    for (g, h), targets in sorted(module.products.items()):
+        checks += 1
+        dsum = module.degree_of(g) + module.degree_of(h)
+        for t in sorted(targets):
+            if module.degree_of(t) != dsum:
+                fail("degree", f"{g} cup {h}", f"target {t} has degree {module.degree_of(t)}, expected {dsum}")
+
+    positive = list(module.generators)
+    for gid, d in positive:
+        if d > max_degree:
+            continue
+        checks += 1
+        if act_on_module(AdemElement.one(), module.element(gid)) != module.element(gid):
+            fail("(I1)", gid, "identity word does not act as identity")
+    for gid, d in positive:
+        if d > max_degree:
+            continue
+        checks += 1
+        top = module.sq_gen(gid, d)
+        square = module.cup_gens(gid, gid)
+        if top != square:
+            fail("(I3)", f"Sq{d}({gid})", f"top square {sorted(top)} != cup square {sorted(square)}")
+    for a, (g, dg) in enumerate(positive):
+        for h, dh in positive[a:]:
+            if dg + dh > max_degree:
+                continue
+            product_gh = module.cup_gens(g, h)
+            for n in range(1, min(max_degree, dg + dh) + 1):
+                checks += 1
+                lhs = apply_sq(n, product_gh)
+                rhs = frozenset()
+                for i in range(n + 1):
+                    rhs ^= cup_sets(module.sq_gen(g, i), module.sq_gen(h, n - i))
+                if lhs != rhs:
+                    fail("(C)", f"Sq{n}({g} cup {h})", f"lhs {sorted(lhs)} != rhs {sorted(rhs)}")
+
+    rng = random.Random(rng_seed)
+    by_degree: dict[int, list[str]] = {}
+    for gid, d in positive:
+        by_degree.setdefault(d, []).append(gid)
+    for d, gens in sorted(by_degree.items()):
+        if d > max_degree or len(gens) < 2:
+            continue
+        for _ in range(4):
+            xs = frozenset(g for g in gens if rng.random() < 0.5)
+            ys = frozenset(g for g in gens if rng.random() < 0.5)
+            for word in ((1,), (2,), (2, 1)):
+                checks += 1
+                op = AdemElement(frozenset({word}))
+                both = act_on_module(op, ModuleElement(module, xs ^ ys))
+                split = act_on_module(op, ModuleElement(module, xs)) + act_on_module(op, ModuleElement(module, ys))
+                if both != split:
+                    fail("additivity", f"{word} on degree {d}", "action is not additive")
+
+    for k in range(1, max_degree):
+        for n in range(1, min(2 * k, max_degree - k + 1)):
+            if n + k > max_degree:
+                continue
+            lhs_op = AdemElement(frozenset({(n, k)}))
+            rhs_op = AdemElement(adem_rewrite(n, k))
+            for gid, d in positive:
+                if d > max_degree:
+                    continue
+                checks += 1
+                x = module.element(gid)
+                if act_on_module(lhs_op, x) != act_on_module(rhs_op, x):
+                    fail("(A)", f"Sq{n} Sq{k} on {gid}", "composite disagrees with its Adem expansion")
+
+    return VerifyReport(module.name, max_degree, checks, tuple(failures))
+
+
+def _assert_same_reports(cases):
+    for module, max_degree in cases:
+        got = verify_axioms(module, max_degree).as_dict()
+        assert got == _reference_verify_axioms(module, max_degree).as_dict(), (module.name, max_degree)
+
+
+def _with(module: GradedModule, *, sq=None, products=None, unit=None, name=None) -> GradedModule:
+    return GradedModule(
+        name or module.name,
+        module.generators,
+        module.sq if sq is None else sq,
+        module.products if products is None else products,
+        module.top_degree,
+        unit,
+    )
+
+
+@pytest.mark.parametrize("max_degree", [1, 4, 10, 12])
+def test_verify_matches_reference_on_the_catalog(max_degree):
+    _assert_same_reports((module, max_degree) for module in full_verification_catalog())
+
+
+def test_verify_matches_reference_on_large_models():
+    _assert_same_reports(
+        [(real_proj(20), 30), (complex_proj(15), 30), (suspend(real_proj(30)), 31)]
+    )
+
+
+def test_verify_matches_reference_on_flipped_tables():
+    rng = random.Random(20251018)
+    catalog = [m for m in full_verification_catalog() if m.generators]
+    cases = []
+    for _ in range(60):
+        base = rng.choice(catalog)
+        gid, d = rng.choice(base.generators)
+        i = rng.randint(1, d + 1)
+        target, _ = rng.choice(base.generators)
+        sq = dict(base.sq)
+        sq[(gid, i)] = sq.get((gid, i), frozenset()) ^ {target}
+        cases.append((_with(base, sq=sq, name=f"{base.name}+sq"), rng.choice([4, 8, 10])))
+    for _ in range(60):
+        base = rng.choice(catalog)
+        (g, _), (h, _), (target, _) = (rng.choice(base.generators) for _ in range(3))
+        products = dict(base.products)
+        key = pair_key(g, h)
+        products[key] = products.get(key, frozenset()) ^ {target}
+        cases.append((_with(base, products=products, name=f"{base.name}+cup"), rng.choice([4, 8, 10])))
+    reports = [verify_axioms(m, d) for m, d in cases]
+    assert sum(not r.ok for r in reports) > 60  # the flips are mostly caught
+    _assert_same_reports(cases)
+
+
+def test_verify_matches_reference_on_malformed_tables():
+    rp4 = real_proj(4)
+    above = _with(rp4, sq={**rp4.sq, ("t1", 2): frozenset({"t3"}), ("t2", 0): frozenset({"t2"})})
+    wrong_degree = _with(rp4, sq={**rp4.sq, ("t2", 1): frozenset({"t4"})})
+    wrong_product = _with(rp4, products={**rp4.products, ("t1", "t2"): frozenset({"t2"})})
+    for module in [above, wrong_degree, wrong_product]:
+        assert not verify_axioms(module, 4).ok
+    _assert_same_reports((m, d) for m in [above, wrong_degree, wrong_product] for d in range(-1, 7))
+
+
+def test_verify_matches_reference_with_a_unit():
+    rp4 = real_proj(4)
+    cases = [
+        _with(rp4, unit="one"),
+        _with(rp4, unit="one", sq={**rp4.sq, ("one", 1): frozenset({"t1"})}),
+        _with(rp4, unit="one", products={**rp4.products, pair_key("one", "t2"): frozenset({"t2"})}),
+        _with(rp4, unit="t1"),  # the unit id is also a generator id
+        _with(wedge(sphere(2), complex_proj(2)), unit="x2"),
+    ]
+    _assert_same_reports((m, d) for m in cases for d in (0, 2, 4, 6))
+
+
+def test_verify_matches_reference_at_degree_zero_and_below():
+    modules = [point(), sphere(1), real_proj(5), corrupted_rp4(), wedge(real_proj(3), complex_proj(2))]
+    _assert_same_reports((m, d) for m in modules for d in (0, -1, -7))
+    assert verify_axioms(corrupted_rp4(), -1).checks == len(corrupted_rp4().sq) + len(corrupted_rp4().products)

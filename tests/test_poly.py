@@ -132,6 +132,16 @@ def test_total_square_examples():
     assert total_square(parse_poly("t1^2"), 2) == parse_poly("t1^2*t2^2 + t1^4")
 
 
+def test_total_square_of_a_power_beyond_32_bits():
+    # Only Sq^0 and Sq^e of t1^e are nonzero for e = 2^40; the other 2^40 - 1
+    # squares must not be visited one by one.
+    e = 2**40
+    assert total_square(parse_poly(f"t1^{e}"), 2) == parse_poly(f"t1^{2 * e} + t1^{e}*t2^{e}")
+    assert total_square(parse_poly(f"t1^{e}*t3"), 2) == parse_poly(
+        f"t1^{e}*t2^{e + 1}*t3 + t1^{e}*t2^{e}*t3^2 + t1^{2 * e}*t2*t3 + t1^{2 * e}*t3^2"
+    )
+
+
 def test_total_square_requires_fresh_variable():
     with pytest.raises(ValueError):
         total_square(parse_poly("t1*t2"), 2)
@@ -309,3 +319,29 @@ print(json.dumps({
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     report = json.loads(out.stdout)
     assert report == {"lru": [True, True], "sizes": [0, 0], "imports_rewriting": [False, False, False]}
+
+
+def test_cache_info_and_clear_caches_in_a_fresh_interpreter():
+    probe = """
+import json
+import steenrod
+from steenrod import Sq, act, normalize, parse_poly
+p = parse_poly("t1*t2^3 + t3^2")
+seen = [steenrod.cache_info()]
+first = (str(normalize(Sq(2, 2) + Sq(1, 2, 2))), str(act(Sq(2, 1), p)))
+seen.append(steenrod.cache_info())
+steenrod.clear_caches()
+seen.append(steenrod.cache_info())
+again = (str(normalize(Sq(2, 2) + Sq(1, 2, 2))), str(act(Sq(2, 1), p)))
+print(json.dumps({"seen": seen, "same": first == again}))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    report = json.loads(out.stdout)
+    names = ["nf_cache", "sq_monomial", "act_monomial"]
+    empty, filled, cleared = report["seen"]
+    assert sorted(empty) == sorted(names) and set(empty.values()) == {0}
+    assert all(filled[name] > 0 for name in names)
+    assert cleared == empty
+    assert report["same"]
