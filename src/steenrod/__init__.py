@@ -29,7 +29,7 @@ from .derive import (
     derive_adem_relations,
     vanishes_on_degree,
 )
-from .f2 import adem_coeff, binom_mod2, sum_add
+from .f2 import adem_coeff, binom_mod2
 from .modules import (
     GradedModule,
     ModuleElement,
@@ -54,15 +54,11 @@ from .poly import (
     Monomial,
     PolyElement,
     act,
-    check_tautological_vanishing,
-    check_total_sq_multiplicative,
     coefficient,
     cup,
     faithful_rank,
     make_monomial,
     sq,
-    sq_on_power,
-    substitute,
     total_square,
     variable,
 )
@@ -115,8 +111,6 @@ __all__ = [
     "builtin_catalog",
     "cache_info",
     "certify_relations",
-    "check_tautological_vanishing",
-    "check_total_sq_multiplicative",
     "clear_caches",
     "coefficient",
     "complex_proj",
@@ -140,9 +134,6 @@ __all__ = [
     "sphere",
     "sq",
     "sq_matrix",
-    "sq_on_power",
-    "substitute",
-    "sum_add",
     "suspend",
     "total_square",
     "vanishes_on_degree",

@@ -14,10 +14,9 @@ it can serve as an oracle for the rewriting done here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .f2 import adem_coeff
+from .f2 import F2Sum, adem_coeff
 
 Word = tuple[int, ...]
 
@@ -73,15 +72,15 @@ def adem_rewrite(a: int, b: int) -> frozenset[Word]:
     return frozenset(words)
 
 
-@dataclass(frozen=True)
-class AdemElement:
+class AdemElement(F2Sum):
     """A formal F2-sum of Sq-words, not necessarily admissible.
 
     Mixed-degree sums are allowed; all contracts that mention degree
     apply per homogeneous component.
     """
 
-    words: frozenset[Word]
+    __slots__ = ()
+    words = F2Sum.terms
 
     @staticmethod
     def zero() -> "AdemElement":
@@ -92,28 +91,11 @@ class AdemElement:
         """The identity operation (the empty word)."""
         return _ONE
 
-    @classmethod
-    def from_words(cls, words: Iterable[Iterable[int]]) -> "AdemElement":
-        """Build an element from exponent sequences, cancelling duplicates."""
-        acc: frozenset[Word] = frozenset()
-        for exponents in words:
-            word = tuple(exponents)
-            if any(not isinstance(i, int) or i < 1 for i in word):
-                raise ValueError(f"word exponents must be ints >= 1, got {word}")
-            acc ^= {word}
-        return cls(acc)
-
-    def is_zero(self) -> bool:
-        return not self.words
-
     def is_admissible(self) -> bool:
         return all(is_admissible(w) for w in self.words)
 
     def sorted_words(self) -> list[Word]:
         return sorted(self.words, key=word_key)
-
-    def __add__(self, other: "AdemElement") -> "AdemElement":
-        return AdemElement(self.words ^ other.words)
 
     def __mul__(self, other: "AdemElement") -> "AdemElement":
         return product(self, other)

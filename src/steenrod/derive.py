@@ -32,9 +32,8 @@ under the Cartan action on the squarefree class t1...tm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .adem import AdemElement, Word, degree, normalize, word_key
+from .f2 import F2Sum, common_degree
 from .poly import Monomial, PolyElement, act, monomial_degree, monomial_mul, sq_monomial
 
 #: Auxiliary variable indices for the two expansion directions.
@@ -43,27 +42,26 @@ U, V = 1, 2
 SymTerm = tuple[Word, Monomial]
 
 
-@dataclass(frozen=True)
-class SymbolicClass:
+class SymbolicClass(F2Sum):
     """F2-sum of terms ``Sq_word(a) * monomial(u, v)`` for a symbol a.
 
     Each term has total degree symbol_degree + degree(word) +
     degree(monomial); elements are kept homogeneous.
     """
 
-    symbol_degree: int
-    terms: frozenset[SymTerm]
+    __slots__ = ("symbol_degree",)
+
+    def __init__(self, symbol_degree: int, terms: frozenset[SymTerm]) -> None:
+        object.__setattr__(self, "symbol_degree", symbol_degree)
+        F2Sum.__init__(self, terms)
+
+    def _context(self) -> tuple:
+        return (self.symbol_degree,)
 
     def total_degree(self) -> int | None:
-        degrees = {
-            self.symbol_degree + degree(word) + monomial_degree(mono)
-            for word, mono in self.terms
-        }
-        if not degrees:
-            return None
-        if len(degrees) > 1:
-            raise ValueError(f"symbolic class is not homogeneous: degrees {sorted(degrees)}")
-        return degrees.pop()
+        return common_degree(
+            self.symbol_degree + degree(word) + monomial_degree(mono) for word, mono in self.terms
+        )
 
     @classmethod
     def generic(cls, symbol_degree: int) -> "SymbolicClass":
@@ -149,13 +147,17 @@ def vanishes_on_degree(element: AdemElement, m: int) -> bool:
     return act(element, squarefree).is_zero()
 
 
-@dataclass(frozen=True)
 class RelationCertificate:
     """A derived relation with its normal form and its action verdict."""
 
-    relation: AdemElement
-    normal_form: AdemElement
-    vanishes_on_degree_m_classes: bool
+    __slots__ = ("relation", "normal_form", "vanishes_on_degree_m_classes")
+
+    def __init__(
+        self, relation: AdemElement, normal_form: AdemElement, vanishes_on_degree_m_classes: bool
+    ) -> None:
+        self.relation = relation
+        self.normal_form = normal_form
+        self.vanishes_on_degree_m_classes = vanishes_on_degree_m_classes
 
     @property
     def normalizes_to_zero(self) -> bool:

@@ -3,15 +3,15 @@
 Scalars over F2 are plain ints 0/1.  A formal F2-sum of basis terms is
 represented as a frozenset of the terms: addition is symmetric
 difference, so a term appearing twice cancels and the empty set is
-zero.  Every algebra element in this package is built on top of this
-representation.
+zero.  Every element class in this package (``AdemElement``,
+``PolyElement``, ``ModuleElement`` and ``SymbolicClass``) derives from
+:class:`F2Sum`, which holds that frozenset and does the arithmetic and
+comparison once for all of them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, TypeVar
-
-T = TypeVar("T")
+from typing import Iterable
 
 
 def binom_mod2(n: int, k: int) -> int:
@@ -36,6 +36,55 @@ def adem_coeff(a: int, b: int, c: int) -> int:
     return binom_mod2(b - c - 1, a - 2 * c)
 
 
-def sum_add(x: Iterable[T], y: Iterable[T]) -> frozenset[T]:
-    """Add two formal F2-sums: symmetric difference of the term sets."""
-    return frozenset(x) ^ frozenset(y)
+def common_degree(degrees: Iterable[int]) -> int | None:
+    """The one degree shared by all terms: None for none, ValueError for several."""
+    found = set(degrees)
+    if len(found) > 1:
+        raise ValueError(f"element is not homogeneous (degrees {sorted(found)})")
+    return found.pop() if found else None
+
+
+class F2Sum:
+    """An immutable formal F2-sum: the frozenset ``terms`` of its terms.
+
+    Subclasses publish ``terms`` under their own name.  One whose sums
+    live over a context (a module, a symbol degree) takes it as leading
+    constructor arguments and returns those from ``_context``.  Sums are
+    equal when type, context and terms are; modules compare by identity.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: frozenset) -> None:
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _context(self) -> tuple:
+        return ()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other: F2Sum) -> F2Sum:
+        if type(other) is not type(self):
+            return NotImplemented
+        context = self._context()
+        if other._context() != context:
+            raise ValueError(f"cannot add {type(self).__name__}s over different contexts")
+        return type(self)(*context, self.terms ^ other.terms)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return False
+        return other.terms == self.terms and other._context() == self._context()
+
+    def __hash__(self) -> int:
+        return hash((self._context(), self.terms))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, (*self._context(), self.terms)))})"

@@ -17,10 +17,9 @@ nonzero.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .adem import AdemElement, adem_rewrite
-from .f2 import binom_mod2
+from .f2 import F2Sum, binom_mod2, common_degree
 from .linalg import matrix_rank
 
 SqTable = dict[tuple[str, int], frozenset[str]]
@@ -32,7 +31,6 @@ def pair_key(g: str, h: str) -> tuple[str, str]:
     return (g, h) if g <= h else (h, g)
 
 
-@dataclass(frozen=True, eq=False)
 class GradedModule:
     """A finite graded F2-module with a Steenrod action and cup products.
 
@@ -41,26 +39,34 @@ class GradedModule:
     keyed by :func:`pair_key`, to their cup product; absent pairs
     multiply to zero.  An optional degree-0 ``unit`` acts as a product
     identity.
-    Instances are immutable after construction.
+    Instances are read-only by convention and compare by identity.
     """
 
-    name: str
-    generators: tuple[tuple[str, int], ...]
-    sq: SqTable
-    products: ProductTable
-    top_degree: int
-    unit: str | None = None
-    _degrees: dict[str, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "generators", "sq", "products", "top_degree", "unit", "_degrees")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        generators: tuple[tuple[str, int], ...],
+        sq: SqTable,
+        products: ProductTable,
+        top_degree: int,
+        unit: str | None = None,
+    ) -> None:
         degrees = {}
-        for gid, d in self.generators:
+        for gid, d in generators:
             if gid in degrees:
                 raise ValueError(f"duplicate generator id {gid!r}")
             if d < 1:
                 raise ValueError(f"generator {gid!r} must have positive degree")
             degrees[gid] = d
-        object.__setattr__(self, "_degrees", degrees)
+        self.name = name
+        self.generators = generators
+        self.sq = sq
+        self.products = products
+        self.top_degree = top_degree
+        self.unit = unit
+        self._degrees = degrees
 
     def degree_of(self, gid: str) -> int:
         if self.unit is not None and gid == self.unit:
@@ -94,15 +100,11 @@ class GradedModule:
             self.degree_of(gid)  # raises KeyError for unknown ids
         return ModuleElement(self, ids)
 
-    def zero_element(self) -> "ModuleElement":
-        return ModuleElement(self, frozenset())
-
     def __str__(self) -> str:
         return f"{self.name} ({len(self.generators)} generators, top degree {self.top_degree})"
 
 
-@dataclass(frozen=True, eq=False)
-class ModuleElement:
+class ModuleElement(F2Sum):
     """An F2-sum of generators of one module.
 
     Homogeneous elements are the normal case; mixed-degree sums can
@@ -110,33 +112,19 @@ class ModuleElement:
     per-degree contracts applying to each component.
     """
 
-    module: GradedModule
-    gens: frozenset[str]
+    __slots__ = ("module",)
+    gens = F2Sum.terms
 
-    def is_zero(self) -> bool:
-        return not self.gens
+    def __init__(self, module: GradedModule, gens: frozenset[str]) -> None:
+        object.__setattr__(self, "module", module)
+        F2Sum.__init__(self, gens)
+
+    def _context(self) -> tuple:
+        return (self.module,)
 
     def degree(self) -> int | None:
         """Common degree of the summands; None for zero, error if mixed."""
-        degrees = {self.module.degree_of(g) for g in self.gens}
-        if not degrees:
-            return None
-        if len(degrees) > 1:
-            raise ValueError(f"element is not homogeneous (degrees {sorted(degrees)})")
-        return degrees.pop()
-
-    def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        if self.module is not other.module:
-            raise ValueError("elements live in different modules")
-        return ModuleElement(self.module, self.gens ^ other.gens)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ModuleElement):
-            return NotImplemented
-        return self.module is other.module and self.gens == other.gens
-
-    def __hash__(self) -> int:
-        return hash((id(self.module), self.gens))
+        return common_degree(map(self.module.degree_of, self.gens))
 
     def __str__(self) -> str:
         if not self.gens:
@@ -332,22 +320,31 @@ def sq_matrix(module: GradedModule, i: int, d: int) -> list[list[int]]:
     ]
 
 
-@dataclass(frozen=True)
 class AxiomFailure:
-    axiom: str
-    where: str
-    detail: str
+    __slots__ = ("axiom", "where", "detail")
+
+    def __init__(self, axiom: str, where: str, detail: str) -> None:
+        self.axiom = axiom
+        self.where = where
+        self.detail = detail
 
     def as_dict(self) -> dict:
         return {"axiom": self.axiom, "where": self.where, "detail": self.detail}
 
 
-@dataclass(frozen=True)
 class VerifyReport:
-    module_name: str
-    max_degree: int
-    checks: int
-    failures: tuple[AxiomFailure, ...]
+    __slots__ = ("module_name", "max_degree", "checks", "failures")
+
+    def __init__(
+        self, module_name: str, max_degree: int, checks: int, failures: tuple[AxiomFailure, ...]
+    ) -> None:
+        self.module_name = module_name
+        self.max_degree = max_degree
+        self.checks = checks
+        self.failures = failures
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and other.as_dict() == self.as_dict()
 
     @property
     def ok(self) -> bool:
@@ -535,20 +532,48 @@ def verify_axioms(module: GradedModule, max_degree: int, *, rng_seed: int = 0) -
     return VerifyReport(module.name, max_degree, checks, tuple(failures))
 
 
-@dataclass(frozen=True)
 class Pi4Report:
     """Outcome of the Sq^2 comparison distinguishing the two mapping cofibres."""
 
-    suspension_name: str
-    wedge_name: str
-    suspension_matrix: tuple[tuple[int, ...], ...]
-    wedge_matrix: tuple[tuple[int, ...], ...]
-    suspension_rank: int
-    wedge_rank: int
-    h3_dimensions: tuple[int, int]
-    h5_dimensions: tuple[int, int]
-    distinct: bool
-    conclusion: tuple[str, ...]
+    __slots__ = (
+        "suspension_name",
+        "wedge_name",
+        "suspension_matrix",
+        "wedge_matrix",
+        "suspension_rank",
+        "wedge_rank",
+        "h3_dimensions",
+        "h5_dimensions",
+        "distinct",
+        "conclusion",
+    )
+
+    def __init__(
+        self,
+        suspension_name: str,
+        wedge_name: str,
+        suspension_matrix: tuple[tuple[int, ...], ...],
+        wedge_matrix: tuple[tuple[int, ...], ...],
+        suspension_rank: int,
+        wedge_rank: int,
+        h3_dimensions: tuple[int, int],
+        h5_dimensions: tuple[int, int],
+        distinct: bool,
+        conclusion: tuple[str, ...],
+    ) -> None:
+        self.suspension_name = suspension_name
+        self.wedge_name = wedge_name
+        self.suspension_matrix = suspension_matrix
+        self.wedge_matrix = wedge_matrix
+        self.suspension_rank = suspension_rank
+        self.wedge_rank = wedge_rank
+        self.h3_dimensions = h3_dimensions
+        self.h5_dimensions = h5_dimensions
+        self.distinct = distinct
+        self.conclusion = conclusion
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and other.as_dict() == self.as_dict()
 
     @property
     def ok(self) -> bool:

@@ -25,8 +25,10 @@ offending position.
 from __future__ import annotations
 
 import re
+from typing import Callable, Hashable
 
 from .adem import AdemElement, Word
+from .f2 import F2Sum
 from .modules import GradedModule, complex_proj, real_proj, sphere, suspend, wedge
 from .poly import Monomial, PolyElement
 
@@ -50,6 +52,11 @@ _SPACES = {"s": sphere, "rp": real_proj, "cp": complex_proj}
 #: Deepest wedge/susp nesting parse_module accepts; the parser recurses
 #: once per level, so this keeps it far from the interpreter's limit.
 _MAX_MODULE_NESTING = 200
+
+#: Largest n parse_module accepts in s<n>, rp<n> and cp<n>.  The rp and
+#: cp models hold a product table quadratic in n, built and walked in
+#: full whatever the degree asked for.
+_MAX_MODULE_DIMENSION = 256
 
 
 class _Scanner:
@@ -83,18 +90,25 @@ class _Scanner:
         return ParseError(message, self.pos)
 
 
+def _parse_sum(
+    text: str, parse_term: Callable[[_Scanner], Hashable], cls: type[F2Sum], what: str
+) -> F2Sum:
+    """A '+'-separated sum of terms, or the single token ``0``; duplicate terms cancel."""
+    if text.strip() == "0":
+        return cls(frozenset())
+    scanner = _Scanner(text)
+    terms: frozenset = frozenset()
+    while True:
+        terms ^= {parse_term(scanner)}
+        if scanner.at_end():
+            return cls(terms)
+        if not scanner.take("+"):
+            raise scanner.error(f"expected '+' or end of {what}")
+
+
 def parse_sq(text: str) -> AdemElement:
     """Parse a Sq expression; duplicate terms cancel mod 2."""
-    if text.strip() == "0":
-        return AdemElement.zero()
-    scanner = _Scanner(text)
-    words: frozenset[Word] = frozenset()
-    while True:
-        words ^= {_parse_sq_term(scanner)}
-        if scanner.at_end():
-            return AdemElement(words)
-        if not scanner.take("+"):
-            raise scanner.error("expected '+' or end of expression")
+    return _parse_sum(text, _parse_sq_term, AdemElement, "expression")
 
 
 def _parse_sq_term(scanner: _Scanner) -> Word:
@@ -118,16 +132,7 @@ def _parse_sq_term(scanner: _Scanner) -> Word:
 
 def parse_poly(text: str) -> PolyElement:
     """Parse a polynomial over F2[t1..tk]; duplicate monomials cancel."""
-    if text.strip() == "0":
-        return PolyElement.zero()
-    scanner = _Scanner(text)
-    monomials: frozenset[Monomial] = frozenset()
-    while True:
-        monomials ^= {_parse_poly_mono(scanner)}
-        if scanner.at_end():
-            return PolyElement(monomials)
-        if not scanner.take("+"):
-            raise scanner.error("expected '+' or end of polynomial")
+    return _parse_sum(text, _parse_poly_mono, PolyElement, "polynomial")
 
 
 def _parse_poly_mono(scanner: _Scanner) -> Monomial:
@@ -187,6 +192,9 @@ def _parse_module_expr(scanner: _Scanner, depth: int) -> GradedModule:
     if not m:
         raise scanner.error("expected s<n>, rp<n>, cp<n>, wedge(...) or susp(...)")
     try:
-        return _SPACES[m.group(1)](int(m.group(2)))
+        n = int(m.group(2))
+        if n > _MAX_MODULE_DIMENSION:
+            raise ValueError(f"dimension must be at most {_MAX_MODULE_DIMENSION}")
+        return _SPACES[m.group(1)](n)
     except ValueError as err:
         raise ParseError(str(err), start) from None

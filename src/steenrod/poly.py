@@ -28,12 +28,11 @@ an element and its normal form must act identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .adem import AdemElement, Word, admissible_basis
-from .f2 import binom_mod2
+from .f2 import F2Sum, common_degree
 from .linalg import rank_f2
 
 Monomial = tuple[tuple[int, int], ...]
@@ -73,11 +72,11 @@ def monomial_key(mono: Monomial) -> tuple[int, tuple[tuple[int, int], ...]]:
     return (monomial_degree(mono), tuple((var, -exp) for var, exp in mono))
 
 
-@dataclass(frozen=True)
-class PolyElement:
+class PolyElement(F2Sum):
     """A formal F2-sum of monomials in F2[t1..tk]."""
 
-    monomials: frozenset[Monomial]
+    __slots__ = ()
+    monomials = F2Sum.terms
 
     @staticmethod
     def zero() -> "PolyElement":
@@ -87,33 +86,15 @@ class PolyElement:
     def one() -> "PolyElement":
         return _P_ONE
 
-    @classmethod
-    def from_monomials(cls, monos: Iterable[Monomial]) -> "PolyElement":
-        acc: frozenset[Monomial] = frozenset()
-        for mono in monos:
-            acc ^= {make_monomial(mono)}
-        return cls(acc)
-
-    def is_zero(self) -> bool:
-        return not self.monomials
-
     def variables(self) -> frozenset[int]:
         return frozenset(var for mono in self.monomials for var, _ in mono)
 
     def homogeneous_degree(self) -> int | None:
         """Common degree of all monomials; None for the zero element."""
-        degrees = {monomial_degree(m) for m in self.monomials}
-        if not degrees:
-            return None
-        if len(degrees) > 1:
-            raise ValueError(f"element is not homogeneous (degrees {sorted(degrees)})")
-        return degrees.pop()
+        return common_degree(map(monomial_degree, self.monomials))
 
     def sorted_monomials(self) -> list[Monomial]:
         return sorted(self.monomials, key=monomial_key)
-
-    def __add__(self, other: "PolyElement") -> "PolyElement":
-        return PolyElement(self.monomials ^ other.monomials)
 
     def __mul__(self, other: "PolyElement") -> "PolyElement":
         return cup(self, other)
@@ -238,17 +219,6 @@ def _sq_monomial(n: int, packed: int, width: int) -> frozenset[int]:
     return frozenset(done)
 
 
-def sq_on_power(var: int, power: int, n: int) -> PolyElement:
-    """Sq^n on the single power t_var^power: C(power, n) t_var^(power+n)."""
-    if var < 1:
-        raise ValueError("variables are indexed from 1")
-    if power < 0 or n < 0:
-        raise ValueError("power and square index must be naturals")
-    if binom_mod2(power, n) == 0:
-        return PolyElement.zero()
-    return PolyElement(frozenset({make_monomial({var: power + n})}))
-
-
 def sq_monomial(n: int, mono: Monomial) -> Iterable[Monomial]:
     """The monomials of Sq^n(mono); they are distinct, so none cancel."""
     if n == 0:
@@ -361,41 +331,6 @@ def coefficient(p: PolyElement, var: int, exp: int) -> PolyElement:
         if found == exp:
             out.add(tuple(pair for pair in mono if pair[0] != var))
     return PolyElement(frozenset(out))
-
-
-def substitute(p: PolyElement, old: int, new: int) -> PolyElement:
-    """Rename the variable ``old`` to ``new``, merging exponents."""
-    acc: frozenset[Monomial] = frozenset()
-    for mono in p.monomials:
-        exps = dict(mono)
-        if old in exps:
-            e = exps.pop(old)
-            exps[new] = exps.get(new, 0) + e
-        acc ^= {tuple(sorted(exps.items()))}
-    return PolyElement(acc)
-
-
-def check_total_sq_multiplicative(p: PolyElement, q: PolyElement) -> bool:
-    """Whether the total square of a product is the product of total squares."""
-    fresh = max(p.variables() | q.variables(), default=0) + 1
-    return total_square(cup(p, q), fresh) == cup(
-        total_square(p, fresh), total_square(q, fresh)
-    )
-
-
-def check_tautological_vanishing(k: int) -> bool:
-    """Substituting the companion variable back into the total square kills it.
-
-    For each generator t of F2[t1..tk], total_square(t, u) = t*u + t^2,
-    and setting u := t gives t^2 + t^2 = 0.  True for k = 0 (empty
-    conjunction).
-    """
-    fresh = k + 1
-    for j in range(1, k + 1):
-        image = substitute(total_square(variable(j), fresh), fresh, j)
-        if not image.is_zero():
-            return False
-    return True
 
 
 def faithful_rank(d: int) -> int:

@@ -1,0 +1,55 @@
+"""Polynomial helpers that only the tests use.
+
+They build small oracles on top of the public polynomial API: the
+square of a single power, renaming a variable, and two identities of
+the total square.
+"""
+
+from steenrod.f2 import binom_mod2
+from steenrod.poly import PolyElement, cup, make_monomial, total_square, variable
+
+
+def sq_on_power(var: int, power: int, n: int) -> PolyElement:
+    """Sq^n on the single power t_var^power: C(power, n) t_var^(power+n)."""
+    if var < 1:
+        raise ValueError("variables are indexed from 1")
+    if power < 0 or n < 0:
+        raise ValueError("power and square index must be naturals")
+    if binom_mod2(power, n) == 0:
+        return PolyElement.zero()
+    return PolyElement(frozenset({make_monomial({var: power + n})}))
+
+
+def substitute(p: PolyElement, old: int, new: int) -> PolyElement:
+    """Rename the variable ``old`` to ``new``, merging exponents."""
+    acc: frozenset = frozenset()
+    for mono in p.monomials:
+        exps = dict(mono)
+        if old in exps:
+            e = exps.pop(old)
+            exps[new] = exps.get(new, 0) + e
+        acc ^= {tuple(sorted(exps.items()))}
+    return PolyElement(acc)
+
+
+def check_total_sq_multiplicative(p: PolyElement, q: PolyElement) -> bool:
+    """Whether the total square of a product is the product of total squares."""
+    fresh = max(p.variables() | q.variables(), default=0) + 1
+    return total_square(cup(p, q), fresh) == cup(
+        total_square(p, fresh), total_square(q, fresh)
+    )
+
+
+def check_tautological_vanishing(k: int) -> bool:
+    """Substituting the companion variable back into the total square kills it.
+
+    For each generator t of F2[t1..tk], total_square(t, u) = t*u + t^2,
+    and setting u := t gives t^2 + t^2 = 0.  True for k = 0 (empty
+    conjunction).
+    """
+    fresh = k + 1
+    for j in range(1, k + 1):
+        image = substitute(total_square(variable(j), fresh), fresh, j)
+        if not image.is_zero():
+            return False
+    return True

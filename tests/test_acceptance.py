@@ -34,10 +34,11 @@ from steenrod.poly import (
     cup,
     make_monomial,
     sq,
-    substitute,
     total_square,
     variable,
 )
+
+from poly_helpers import substitute
 
 SEED = 20250809
 

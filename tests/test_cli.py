@@ -1,12 +1,18 @@
 """Command-line interface: dispatch, exit codes, JSON stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from steenrod import cli, modfile
 from steenrod.cli import main, resolve_module
 from steenrod.modules import GradedModule, real_proj
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -93,6 +99,13 @@ def test_total_square_rejects_used_variable(capsys):
     code, _, err = run(capsys, "total-square", "--on", "t1*t2", "--var", "t2")
     assert code == 2
     assert "fresh" in err
+
+
+def test_total_square_of_an_inhomogeneous_polynomial(capsys):
+    code, out, err = run(capsys, "total-square", "--on", "t1 + t1^2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: element is not homogeneous (degrees [1, 2])\n"
 
 
 def test_derive_adem_degree_one(capsys):
@@ -234,3 +247,19 @@ def test_resolve_module_grammar():
         resolve_module("wedge(s5")
     with pytest.raises(ValueError):
         resolve_module("s3 junk")
+
+
+def test_verify_rejects_a_dimension_above_the_bound():
+    argv = ["verify", "--module", "rp2000", "--max-degree", "2", "--json"]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-m", "steenrod.cli", *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: dimension must be at most 256 (at column 0)\n"
+
+
+def test_cli_import_does_not_load_dataclasses_or_inspect():
+    probe = "import sys, steenrod.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

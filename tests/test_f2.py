@@ -1,9 +1,20 @@
-"""Parity arithmetic against a Pascal-triangle oracle, and F2-sum laws."""
+"""Parity arithmetic against a Pascal-triangle oracle, F2-sum laws, and the F2Sum base."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from steenrod.f2 import adem_coeff, binom_mod2, sum_add
+from steenrod.adem import AdemElement, Sq
+from steenrod.derive import SymbolicClass
+from steenrod.f2 import F2Sum, adem_coeff, binom_mod2, common_degree
+from steenrod.modules import ModuleElement, real_proj
+from steenrod.parsing import parse_poly
+from steenrod.poly import PolyElement
+
+
+def sum_add(x, y) -> frozenset:
+    """Add two formal F2-sums given as term sets: symmetric difference."""
+    return frozenset(x) ^ frozenset(y)
 
 
 def pascal_mod2(max_n: int) -> list[list[int]]:
@@ -76,3 +87,81 @@ def test_sum_add_examples():
     assert sum_add({"w"}, {"w"}) == frozenset()
     assert sum_add({"w"}, set()) == frozenset({"w"})
     assert sum_add({"w1"}, {"w2"}) == frozenset({"w1", "w2"})
+
+
+def test_every_element_class_is_an_f2_sum():
+    for cls in (AdemElement, PolyElement, ModuleElement, SymbolicClass):
+        assert issubclass(cls, F2Sum), cls
+
+
+def test_common_degree():
+    assert common_degree([]) is None
+    assert common_degree([3, 3, 3]) == 3
+    with pytest.raises(ValueError, match=r"not homogeneous \(degrees \[1, 2\]\)"):
+        common_degree([2, 1, 2])
+
+
+def _elements():
+    rp3 = real_proj(3)
+    return [
+        Sq(2, 1) + Sq(3),
+        parse_poly("t1*t2 + t3^2"),
+        rp3.element(["t1", "t2"]),
+        SymbolicClass.generic(2),
+    ]
+
+
+@pytest.mark.parametrize("element", _elements(), ids=lambda e: type(e).__name__)
+def test_elements_are_immutable(element):
+    with pytest.raises(AttributeError):
+        element.terms = frozenset()
+    with pytest.raises(AttributeError):
+        element.extra = 1
+    with pytest.raises(AttributeError):
+        del element.terms
+    assert not element.is_zero()
+
+
+def test_equality_is_type_exact():
+    assert AdemElement(frozenset()) != PolyElement(frozenset())
+    assert AdemElement(frozenset({()})) != PolyElement(frozenset({()}))
+    assert AdemElement(frozenset()) == AdemElement.zero()
+
+
+def test_module_elements_compare_their_module_by_identity():
+    first, second = real_proj(3), real_proj(3)
+    assert first.element("t1") == first.element("t1")
+    assert first.element("t1") != second.element("t1")
+    assert first.element(frozenset()) != second.element(frozenset())
+    with pytest.raises(ValueError):
+        first.element("t1") + second.element("t1")
+    assert first.element("t1") + first.element(["t1", "t2"]) == first.element("t2")
+    assert hash(first.element("t1")) == hash(first.element("t1"))
+    assert len({first.element("t1"), second.element("t1")}) == 2
+
+
+def test_symbolic_classes_compare_their_symbol_degree():
+    assert SymbolicClass.generic(2) != SymbolicClass.generic(3)
+    assert SymbolicClass.generic(2) == SymbolicClass.generic(2)
+    with pytest.raises(ValueError):
+        SymbolicClass.generic(2) + SymbolicClass.generic(3)
+    assert (SymbolicClass.generic(2) + SymbolicClass.generic(2)).is_zero()
+
+
+def test_adding_different_element_classes_is_a_type_error():
+    with pytest.raises(TypeError):
+        Sq(1) + parse_poly("t1")
+
+
+@given(small_sets, small_sets)
+def test_hash_agrees_with_equality(x, y):
+    a, b = AdemElement(frozenset((i,) for i in x)), AdemElement(frozenset((i,) for i in y))
+    assert (a == b) == (x == y)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert len({a, b}) == (1 if x == y else 2)
+
+
+def test_repr_names_the_class_and_its_context():
+    assert repr(Sq(2)) == "AdemElement(frozenset({(2,)}))"
+    assert repr(SymbolicClass.generic(1)) == "SymbolicClass(1, frozenset({((), ())}))"

@@ -121,3 +121,26 @@ def test_parse_module_nesting_is_bounded():
     with pytest.raises(ParseError) as err:
         parse_module("susp(" * 1200 + "s1" + ")" * 1200)
     assert "nested" in err.value.message
+
+
+def test_parse_module_dimension_is_bounded():
+    assert len(parse_module("rp256").generators) == 256
+    assert parse_module("cp256").top_degree == 512
+    for text, column in [("rp257", 0), ("cp2000", 0), ("s300", 0), ("wedge(s3, rp2000)", 10)]:
+        with pytest.raises(ParseError) as err:
+            parse_module(text)
+        assert err.value.position == column, text
+        assert err.value.message == "dimension must be at most 256"
+
+
+_TOKENS = ["Sq", "t", "^", "*", "+", "0", "1", "2", "7", " ", "s", "rp", "cp", "wedge(", "susp(", ",", ")", "(", "x"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(max_size=40), st.lists(st.sampled_from(_TOKENS), max_size=30).map("".join)))
+def test_parsers_give_a_result_or_a_value_error(text):
+    for parse in (parse_sq, parse_poly, parse_module):
+        try:
+            parse(text)
+        except ValueError:
+            pass

@@ -15,17 +15,20 @@ from steenrod.parsing import parse_poly, parse_sq
 from steenrod.poly import (
     PolyElement,
     act,
-    check_tautological_vanishing,
-    check_total_sq_multiplicative,
     coefficient,
     cup,
     faithful_rank,
     make_monomial,
     sq,
-    sq_on_power,
-    substitute,
     total_square,
     variable,
+)
+
+from poly_helpers import (
+    check_tautological_vanishing,
+    check_total_sq_multiplicative,
+    sq_on_power,
+    substitute,
 )
 
 
