@@ -71,8 +71,8 @@ def cache_info() -> dict[str, int]:
 
     ``nf_cache`` holds normal forms of single words (``normalize``);
     ``sq_monomial`` and ``act_monomial`` hold the Cartan action on
-    packed monomials (``act``, ``sq``, ``total_square``,
-    ``faithful_rank``).  All three grow without bound.
+    packed monomials (``act``, ``sq``, ``faithful_rank``).  All three
+    grow without bound.
     """
     return {
         "nf_cache": len(_adem._NF_CACHE),

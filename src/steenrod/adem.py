@@ -14,7 +14,7 @@ it can serve as an oracle for the rewriting done here.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .f2 import F2Sum, adem_coeff
 

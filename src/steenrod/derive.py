@@ -14,9 +14,10 @@ Bookkeeping rules used by the expansion:
 * operator words applied to ``a`` are kept raw, never normalized, so
   the relations are genuinely forced by the expansion rather than
   assumed;
-* squares on powers of u and v use the ordinary polynomial action;
-* a square strictly above the degree of its argument is dropped on the
-  spot (instability).
+* the total square T is multiplicative: T(Sq_w(a) * mono) is
+  T(Sq_w(a)) * T(mono), with T(mono) the polynomial total square in u
+  and v, and T(Sq_w(a)) prepends Sq^r only for r up to the degree of
+  Sq_w(a) (instability).
 
 Because the expansion happens at a fixed source degree m, instability
 is part of the arithmetic.  The emitted relations hold on every
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from .adem import AdemElement, Word, degree, normalize, word_key
 from .f2 import F2Sum, common_degree
-from .poly import Monomial, PolyElement, act, monomial_degree, monomial_mul, sq_monomial
+from .poly import Monomial, PolyElement, act, monomial_degree, monomial_mul, total_square
 
 #: Auxiliary variable indices for the two expansion directions.
 U, V = 1, 2
@@ -71,38 +72,24 @@ class SymbolicClass(F2Sum):
         return cls(symbol_degree, frozenset({((), ())}))
 
 
-def apply_sq(n: int, cls: SymbolicClass) -> SymbolicClass:
-    """Sq^n of a symbolic class, by Cartan across the word and monomial parts.
-
-    Splits n = r + s: Sq^r prepends to the operator word (dropped when
-    r exceeds the degree of the word's argument), Sq^s hits the
-    auxiliary monomial through the polynomial action.
-    """
-    acc: set[SymTerm] = set()
-    for word, mono in cls.terms:
-        argument_degree = cls.symbol_degree + degree(word)
-        # Sq^s of the monomial vanishes for s above its degree.
-        for r in range(max(0, n - monomial_degree(mono)), min(n, argument_degree) + 1):
-            new_word = (r,) + word if r else word
-            for new_mono in sq_monomial(n - r, mono):
-                acc.symmetric_difference_update(((new_word, new_mono),))
-    return SymbolicClass(cls.symbol_degree, frozenset(acc))
-
-
 def total_square_symbolic(cls: SymbolicClass, var: int) -> SymbolicClass:
     """Total square against a fresh auxiliary variable.
 
     For a class of total degree M returns sum_j Sq^j(cls) * var^(M-j),
-    a homogeneous class of degree 2M.
+    a homogeneous class of degree 2M.  A term Sq_w(a) * mono goes to
+    sum_r Sq^r Sq_w(a) * var^(D-r), over r up to the degree D of
+    Sq_w(a), times the total square of mono.  The variable must be fresh.
     """
-    total = cls.total_degree()
-    if total is None:
+    if cls.total_degree() is None:
         return cls
     acc: set[SymTerm] = set()
-    for j in range(total + 1):
-        vpow: Monomial = ((var, total - j),) if total - j else ()
-        for word, mono in apply_sq(j, cls).terms:
-            acc.symmetric_difference_update(((word, monomial_mul(mono, vpow)),))
+    for word, mono in cls.terms:
+        squares = total_square(PolyElement(frozenset({mono})), var).monomials
+        argument_degree = cls.symbol_degree + degree(word)
+        for r in range(argument_degree + 1):
+            new_word = (r,) + word if r else word
+            vpow: Monomial = ((var, argument_degree - r),) if r < argument_degree else ()
+            acc.symmetric_difference_update((new_word, monomial_mul(square, vpow)) for square in squares)
     return SymbolicClass(cls.symbol_degree, frozenset(acc))
 
 

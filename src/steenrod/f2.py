@@ -11,7 +11,7 @@ comparison once for all of them.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 
 def binom_mod2(n: int, k: int) -> int:

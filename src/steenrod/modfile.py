@@ -29,8 +29,8 @@ indent.  load(save(M)) reproduces the module exactly.
 from __future__ import annotations
 
 import json
+import os
 import re
-from pathlib import Path
 
 from .modules import GradedModule, pair_key
 
@@ -140,9 +140,11 @@ def loads(text: str) -> GradedModule:
     return module_from_dict(json.loads(text))
 
 
-def save(module: GradedModule, path: str | Path) -> None:
-    Path(path).write_text(dumps(module), encoding="utf-8")
+def save(module: GradedModule, path: str | os.PathLike) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(dumps(module))
 
 
-def load(path: str | Path) -> GradedModule:
-    return loads(Path(path).read_text(encoding="utf-8"))
+def load(path: str | os.PathLike) -> GradedModule:
+    with open(path, encoding="utf-8") as handle:
+        return loads(handle.read())

@@ -25,7 +25,7 @@ offending position.
 from __future__ import annotations
 
 import re
-from typing import Callable, Hashable
+from collections.abc import Callable, Hashable
 
 from .adem import AdemElement, Word
 from .f2 import F2Sum

@@ -29,13 +29,16 @@ an element and its normal form must act identically.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .adem import AdemElement, Word, admissible_basis
 from .f2 import F2Sum, common_degree
 from .linalg import rank_f2
 
 Monomial = tuple[tuple[int, int], ...]
+
+#: Most terms :func:`total_square` expands an element into.
+_MAX_TOTAL_SQUARE_TERMS = 1 << 16
 
 
 def make_monomial(exponents: Mapping[int, int] | Iterable[tuple[int, int]]) -> Monomial:
@@ -273,24 +276,23 @@ def act(element: AdemElement, p: PolyElement) -> PolyElement:
     return PolyElement(frozenset(acc))
 
 
-def _nonzero_square_degrees(exps: Iterable[int]) -> set[int]:
-    """The i for which Sq^i of the monomial with these exponents can be nonzero.
+def _power_splits(factors: Monomial) -> list[tuple[Monomial, int]]:
+    """The terms prod t^(e+k) of prod t^e (u + t)^e, u left out, each with the sum of its k.
 
-    By Cartan, Sq^i is a sum over splits of i into one part per
-    exponent e, and the part C(e, j) t^(e+j) is nonzero exactly when j
-    is a binary submask of e.  So i must be a sum of one submask per
-    exponent.  The set has at most as many elements as the total
-    square has terms.
+    By Lucas, k runs over the binary submasks of each exponent e.
     """
-    sums = {0}
-    for e in exps:
-        submasks = [e]
-        j = e
-        while j:
-            j = (j - 1) & e
-            submasks.append(j)
-        sums = {s + j for s in sums for j in submasks}
-    return sums
+    terms: list[tuple[Monomial, int]] = [((), 0)]
+    for var, e in factors:
+        grown = []
+        k = e
+        while True:
+            pair = ((var, e + k),)
+            grown += [(head + pair, s + k) for head, s in terms]
+            if not k:
+                break
+            k = (k - 1) & e
+        terms = grown
+    return terms
 
 
 def total_square(p: PolyElement, var: int) -> PolyElement:
@@ -298,28 +300,25 @@ def total_square(p: PolyElement, var: int) -> PolyElement:
 
     For p of degree m returns sum_i Sq^i(p) * t_var^(m-i), a
     homogeneous element of degree 2m whose t_var^(m-i) coefficient
-    recovers Sq^i(p) exactly.  The variable must be fresh.
+    recovers Sq^i(p) exactly.  The variable must be fresh.  The total
+    square is multiplicative and sends t to t*u + t^2 (u = t_var), so a
+    monomial prod t^e goes to prod t^e (u + t)^e, whose terms are
+    distinct; more than ``_MAX_TOTAL_SQUARE_TERMS`` raise ValueError.
     """
     m = p.homogeneous_degree()
     if m is None:
         return PolyElement.zero()
     if var in p.variables():
         raise ValueError(f"t{var} already occurs in the element; pick a fresh variable")
+    if sum(1 << sum(e.bit_count() for _, e in mono) for mono in p.monomials) > _MAX_TOTAL_SQUARE_TERMS:
+        raise ValueError(f"total square expands to more than {_MAX_TOTAL_SQUARE_TERMS} terms")
     acc: set[Monomial] = set()
     for mono in p.monomials:
-        # t_var enters as a zero field that Sq^i leaves alone, so the factor
-        # t_var^(m-i) multiplies in by integer addition; the i = m term has
-        # no t_var factor and comes from the plain monomial.
-        variables, packed, width = _pack(tuple(sorted(mono + ((var, 0),))), m)
-        shift = variables.index(var) * width
-        for i in _nonzero_square_degrees(exp for _, exp in mono):
-            if i == m:
-                continue
-            upow = (m - i) << shift
-            acc.symmetric_difference_update(
-                _unpack((image + upow for image in _sq_monomial(i, packed, width)), variables, width)
-            )
-        acc.symmetric_difference_update(sq_monomial(m, mono))
+        cut = sum(v < var for v, _ in mono)  # where t_var goes among the factors
+        acc.symmetric_difference_update(
+            split[:cut] + ((var, m - s),) + split[cut:] if s < m else split
+            for split, s in _power_splits(mono)
+        )
     return PolyElement(frozenset(acc))
 
 

@@ -108,6 +108,13 @@ def test_total_square_of_an_inhomogeneous_polynomial(capsys):
     assert err == "error: element is not homogeneous (degrees [1, 2])\n"
 
 
+def test_total_square_above_the_term_bound(capsys):
+    code, out, err = run(capsys, "total-square", "--on", "*".join(f"t{j}" for j in range(1, 301)))
+    assert code == 2
+    assert out == ""
+    assert err == "error: total square expands to more than 65536 terms\n"
+
+
 def test_derive_adem_degree_one(capsys):
     code, out, _ = run(capsys, "derive-adem", "--degree", "1", "--json")
     assert code == 0
@@ -259,7 +266,8 @@ def test_verify_rejects_a_dimension_above_the_bound():
 
 
 def test_cli_import_does_not_load_dataclasses_or_inspect():
-    probe = "import sys, steenrod.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    unused = "{'dataclasses', 'inspect', 'pathlib', 'random', 'typing'}"
+    probe = f"import sys, steenrod.cli; print(sorted({unused} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -9,7 +9,6 @@ from steenrod.derive import (
     SymbolicClass,
     U,
     V,
-    apply_sq,
     certify_relations,
     derive_adem_relations,
     total_square_symbolic,
@@ -30,10 +29,14 @@ def test_generic_class_and_total_degree():
     assert total_square_symbolic(a, U).total_degree() == 6
 
 
-def test_apply_sq_drops_squares_above_argument_degree():
+def test_total_square_symbolic_drops_squares_above_argument_degree():
     a = SymbolicClass.generic(1)
-    squared = apply_sq(2, a)  # Sq^2 on a degree-1 symbol
-    assert squared.terms == frozenset()
+    # Sq^2 and above vanish on a degree-1 symbol, so no word starts with 2.
+    ts = total_square_symbolic(a, U)
+    assert {word for word, _ in ts.terms} == {(), (1,)}
+    # Each square of the double expansion is at most the degree of its argument.
+    for word, _ in total_square_symbolic(ts, V).terms:
+        assert all(r <= 1 + degree(word[j + 1 :]) for j, r in enumerate(word)), word
 
 
 def test_first_total_square_of_degree_one_symbol():
@@ -75,6 +78,17 @@ def test_relations_degree_two_known_set():
     assert frozenset({(2, 2), (3, 1)}) in rels  # Sq2 Sq2 = Sq3 Sq1
     assert frozenset({(3, 2)}) in rels  # Sq3 Sq2 = 0
     assert frozenset({(1, 2)}) in rels  # Sq1 Sq2 = 0 on degree-2 classes only
+
+
+def test_relation_counts():
+    counts = [len(derive_adem_relations(m)) for m in range(15)]
+    assert counts == [0, 1, 4, 9, 17, 29, 42, 59, 78, 100, 126, 156, 186, 226, 266]
+
+
+def test_total_square_symbolic_requires_a_fresh_variable():
+    ts = total_square_symbolic(SymbolicClass.generic(2), U)
+    with pytest.raises(ValueError, match="fresh"):
+        total_square_symbolic(ts, U)
 
 
 def test_relations_nonempty_and_homogeneous():

@@ -3,12 +3,16 @@
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from steenrod import poly
 from steenrod.adem import AdemElement, Sq, admissible_basis, excess
 from steenrod.f2 import adem_coeff
 from steenrod.parsing import parse_poly, parse_sq
@@ -155,15 +159,47 @@ def test_total_square_rejects_inhomogeneous():
         total_square(parse_poly("t1 + t1^2"), 3)
 
 
+def degree_m_monomials(m: int, nvars: int) -> list:
+    return [mono for mono in monomials(m, nvars) if sum(e for _, e in mono) == m]
+
+
 def test_total_square_coefficients_recover_squares():
-    for mono in monomials(6, 2):
-        if not mono:
-            continue
-        p = as_poly(mono)
-        m = sum(e for _, e in mono)
-        ts = total_square(p, 9)
-        for i in range(m + 1):
-            assert coefficient(ts, 9, m - i) == sq(i, p), (mono, i)
+    # total_square shares no code with the Cartan kernel behind sq, so
+    # this compares two independent computations.
+    rng = random.Random(0)
+    for m in range(1, 7):
+        degree_m = degree_m_monomials(m, 3)
+        elements = [as_poly(mono) for mono in degree_m]
+        elements += [
+            PolyElement(frozenset(rng.sample(degree_m, rng.randint(2, len(degree_m))))) for _ in range(12)
+        ]
+        for p in elements:
+            ts = total_square(p, 9)
+            for i in range(m + 1):
+                assert coefficient(ts, 9, m - i) == sq(i, p), (p, i)
+
+
+@st.composite
+def small_homogeneous(draw, m: int) -> PolyElement:
+    return PolyElement(frozenset(draw(st.sets(st.sampled_from(degree_m_monomials(m, 3)), max_size=4))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3).flatmap(small_homogeneous), st.integers(0, 3).flatmap(small_homogeneous))
+def test_total_square_is_multiplicative(p, q):
+    assert total_square(p * q, 9) == total_square(p, 9) * total_square(q, 9)
+
+
+def test_total_square_term_bound(monkeypatch):
+    with pytest.raises(ValueError, match="^total square expands to more than 65536 terms$"):
+        total_square(parse_poly("*".join(f"t{j}" for j in range(1, 301))), 301)
+    # The count is 2^(one bits of the exponents) per monomial, summed over monomials.
+    monkeypatch.setattr(poly, "_MAX_TOTAL_SQUARE_TERMS", 8)
+    assert len(total_square(parse_poly("t1*t2*t3"), 4).monomials) == 8
+    assert len(total_square(parse_poly("t1^3*t2"), 4).monomials) == 8
+    for text in ("t1*t2*t3*t4", "t1^7*t2", "t1*t2*t3 + t1*t2*t4"):
+        with pytest.raises(ValueError, match="more than 8 terms"):
+            total_square(parse_poly(text), 5)
 
 
 def test_check_total_sq_multiplicative():
