@@ -46,9 +46,16 @@ def excess(word: Word) -> int:
     return max(0, word[0] - sum(word[1:]))
 
 
+def _first_inadmissible(word: Word) -> int | None:
+    for j in range(len(word) - 1):
+        if word[j] < 2 * word[j + 1]:
+            return j
+    return None
+
+
 def is_admissible(word: Word) -> bool:
     """True iff every adjacent pair satisfies i_j >= 2 * i_{j+1}."""
-    return all(word[j] >= 2 * word[j + 1] for j in range(len(word) - 1))
+    return _first_inadmissible(word) is None
 
 
 def word_key(word: Word) -> tuple[int, int, Word]:
@@ -120,13 +127,6 @@ def Sq(*exponents: int) -> AdemElement:
     return AdemElement(frozenset({tuple(exponents)}))
 
 
-def _first_inadmissible(word: Word) -> int | None:
-    for j in range(len(word) - 1):
-        if word[j] < 2 * word[j + 1]:
-            return j
-    return None
-
-
 class _Budget:
     __slots__ = ("left",)
 
@@ -164,7 +164,7 @@ def _word_normal_form(word: Word, budget: _Budget) -> frozenset[Word]:
         nf = _NF_CACHE.get(w)
         if nf is not None:
             admissible.symmetric_difference_update(nf)
-        elif _first_inadmissible(w) is None:
+        elif is_admissible(w):
             admissible.symmetric_difference_update((w,))
         else:
             pending.add(w)
@@ -193,24 +193,19 @@ def normalize(element: AdemElement, *, step_budget: int = DEFAULT_STEP_BUDGET) -
     Raises :class:`StepBudgetExceeded` when the budget runs out.
     """
     budget = _Budget(step_budget)
-    acc: frozenset[Word] = frozenset()
+    acc: set[Word] = set()
     for word in element.words:
         acc ^= _word_normal_form(word, budget)
-    return AdemElement(acc)
+    return AdemElement(frozenset(acc))
 
 
-def product(
-    left: AdemElement,
-    right: AdemElement,
-    *,
-    step_budget: int = DEFAULT_STEP_BUDGET,
-) -> AdemElement:
+def product(left: AdemElement, right: AdemElement) -> AdemElement:
     """Concatenate all word pairs mod 2, then normalize."""
-    acc: frozenset[Word] = frozenset()
+    acc: set[Word] = set()
     for w1 in left.words:
         for w2 in right.words:
             acc ^= {w1 + w2}
-    return normalize(AdemElement(acc), step_budget=step_budget)
+    return normalize(AdemElement(frozenset(acc)))
 
 
 def _admissible_tails(total: int, max_first: int) -> Iterator[Word]:

@@ -27,7 +27,7 @@ from .adem import (
 from .derive import certify_relations
 from .modules import GradedModule, distinguish_pi4, verify_axioms
 from .poly import act, faithful_rank, total_square
-from .parsing import ParseError, parse_module, parse_poly, parse_sq
+from .parsing import parse_module, parse_poly, parse_sq
 from . import modfile
 
 EXIT_OK = 0
@@ -88,11 +88,7 @@ def _cmd_act(args: argparse.Namespace) -> int:
     if args.vars is not None:
         too_big = sorted(v for v in target.variables() if v > args.vars)
         if too_big:
-            print(
-                f"error: polynomial uses t{too_big[0]} but --vars is {args.vars}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+            raise ValueError(f"polynomial uses t{too_big[0]} but --vars is {args.vars}")
     result = act(operation, target)
     payload = {"operation": args.op, "argument": args.on, "result": str(result)}
     _emit(payload, [str(result)], args.json)
@@ -107,13 +103,11 @@ def _cmd_total_square(args: argparse.Namespace) -> int:
     elif re.fullmatch(r"t?(\d+)", args.var):
         var = int(args.var.lstrip("t"))
         if var < 1:
-            print(f"error: variables are numbered from t1 (got {args.var!r})", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"variables are numbered from t1 (got {args.var!r})")
     elif re.fullmatch(r"[A-Za-z]\w*", args.var):
         var = fresh  # a symbolic name like 'u' stands for the next unused index
     else:
-        print(f"error: --var must be a name or an index like t4 (got {args.var!r})", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--var must be a name or an index like t4 (got {args.var!r})")
     result = total_square(target, var)
     payload = {"argument": args.on, "variable": f"t{var}", "result": str(result)}
     _emit(payload, [str(result)], args.json)
@@ -249,9 +243,6 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except StepBudgetExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BUDGET

@@ -34,7 +34,7 @@ under the Cartan action on the squarefree class t1...tm.
 from __future__ import annotations
 
 from .adem import AdemElement, Word, degree, normalize, word_key
-from .f2 import F2Sum, common_degree
+from .f2 import F2Sum, Record, common_degree
 from .poly import Monomial, PolyElement, act, monomial_degree, monomial_mul, total_square
 
 #: Auxiliary variable indices for the two expansion directions.
@@ -134,17 +134,10 @@ def vanishes_on_degree(element: AdemElement, m: int) -> bool:
     return act(element, squarefree).is_zero()
 
 
-class RelationCertificate:
+class RelationCertificate(Record):
     """A derived relation with its normal form and its action verdict."""
 
     __slots__ = ("relation", "normal_form", "vanishes_on_degree_m_classes")
-
-    def __init__(
-        self, relation: AdemElement, normal_form: AdemElement, vanishes_on_degree_m_classes: bool
-    ) -> None:
-        self.relation = relation
-        self.normal_form = normal_form
-        self.vanishes_on_degree_m_classes = vanishes_on_degree_m_classes
 
     @property
     def normalizes_to_zero(self) -> bool:

@@ -6,7 +6,10 @@ difference, so a term appearing twice cancels and the empty set is
 zero.  Every element class in this package (``AdemElement``,
 ``PolyElement``, ``ModuleElement`` and ``SymbolicClass``) derives from
 :class:`F2Sum`, which holds that frozenset and does the arithmetic and
-comparison once for all of them.
+comparison once for all of them.  The report records
+(``AxiomFailure``, ``VerifyReport``, ``Pi4Report`` and
+``RelationCertificate``) derive from :class:`Record`, which does their
+construction, comparison and ``repr`` once.
 """
 
 from __future__ import annotations
@@ -88,3 +91,28 @@ class F2Sum:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(map(repr, (*self._context(), self.terms)))})"
+
+
+class Record:
+    """A plain record: its fields are its ``__slots__``, given positionally.
+
+    Records compare equal when their types are the same and so is each
+    field; they are unhashable.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            setattr(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and other._values() == self._values()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self._values()))})"

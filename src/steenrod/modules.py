@@ -17,7 +17,7 @@ nonzero.
 from __future__ import annotations
 
 from .adem import AdemElement, adem_rewrite
-from .f2 import F2Sum, binom_mod2, common_degree
+from .f2 import F2Sum, Record, binom_mod2, common_degree
 from .linalg import matrix_rank
 
 SqTable = dict[tuple[str, int], frozenset[str]]
@@ -130,13 +130,6 @@ class ModuleElement(F2Sum):
         return " + ".join(sorted(self.gens, key=lambda g: (self.module.degree_of(g), g)))
 
 
-def _apply_sq_set(module: GradedModule, i: int, gens: frozenset[str]) -> frozenset[str]:
-    acc: frozenset[str] = frozenset()
-    for g in gens:
-        acc ^= module.sq_gen(g, i)
-    return acc
-
-
 def _cup_sets(module: GradedModule, xs: frozenset[str], ys: frozenset[str]) -> frozenset[str]:
     acc: frozenset[str] = frozenset()
     for g in xs:
@@ -152,15 +145,18 @@ def act_on_module(element: AdemElement, x: ModuleElement) -> ModuleElement:
     bound collapse to zero through the table.
     """
     module = x.module
-    acc: frozenset[str] = frozenset()
+    acc: set[str] = set()
     for word in element.words:
         gens = x.gens
         for i in reversed(word):
-            gens = _apply_sq_set(module, i, gens)
+            image: set[str] = set()
+            for g in gens:
+                image ^= module.sq_gen(g, i)
+            gens = image
             if not gens:
                 break
         acc ^= gens
-    return ModuleElement(module, acc)
+    return ModuleElement(module, frozenset(acc))
 
 
 def cup_elements(x: ModuleElement, y: ModuleElement) -> ModuleElement:
@@ -306,31 +302,15 @@ def sq_matrix(module: GradedModule, i: int, d: int) -> list[list[int]]:
     ]
 
 
-class AxiomFailure:
+class AxiomFailure(Record):
     __slots__ = ("axiom", "where", "detail")
-
-    def __init__(self, axiom: str, where: str, detail: str) -> None:
-        self.axiom = axiom
-        self.where = where
-        self.detail = detail
 
     def as_dict(self) -> dict:
         return {"axiom": self.axiom, "where": self.where, "detail": self.detail}
 
 
-class VerifyReport:
+class VerifyReport(Record):
     __slots__ = ("module_name", "max_degree", "checks", "failures")
-
-    def __init__(
-        self, module_name: str, max_degree: int, checks: int, failures: tuple[AxiomFailure, ...]
-    ) -> None:
-        self.module_name = module_name
-        self.max_degree = max_degree
-        self.checks = checks
-        self.failures = failures
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and other.as_dict() == self.as_dict()
 
     @property
     def ok(self) -> bool:
@@ -418,20 +398,16 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
                     f"target {t} has degree {module.degree_of(t)}, expected {dsum}",
                 )
 
-    positive = list(module.generators)
+    in_range = [(gid, d) for gid, d in module.generators if d <= max_degree]
 
     # (I1) the empty word acts as the identity.
-    for gid, d in positive:
-        if d > max_degree:
-            continue
+    for gid, _ in in_range:
         checks += 1
         if _act_word(table, (), frozenset({gid})) != {gid}:
             fail("(I1)", gid, "identity word does not act as identity")
 
     # (I3) top square equals cup square (absent products mean zero).
-    for gid, d in positive:
-        if d > max_degree:
-            continue
+    for gid, d in in_range:
         checks += 1
         top = table.get(gid, _NO_SQUARES).get(d, _EMPTY)
         square = module.cup_gens(gid, gid)
@@ -447,10 +423,10 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
     # squares with i + j = n, Sq^0 included; every other term is zero.
     squares = {
         gid: ((0, frozenset({gid})), *table.get(gid, _NO_SQUARES).items())
-        for gid, _ in positive
+        for gid, _ in in_range
     }
-    for a, (g, dg) in enumerate(positive):
-        for h, dh in positive[a:]:
+    for a, (g, dg) in enumerate(in_range):
+        for h, dh in in_range[a:]:
             if dg + dh > max_degree:
                 continue
             lhs_by_n: dict[int, frozenset[str]] = {}
@@ -476,10 +452,10 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
     # Additivity on random sums (true by construction; exercised anyway).
     rng = random.Random(0)
     by_degree: dict[int, list[str]] = {}
-    for gid, d in positive:
+    for gid, d in in_range:
         by_degree.setdefault(d, []).append(gid)
     for d, gens in sorted(by_degree.items()):
-        if d > max_degree or len(gens) < 2:
+        if len(gens) < 2:
             continue
         for _ in range(4):
             xs = frozenset(g for g in gens if rng.random() < 0.5)
@@ -496,13 +472,9 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
     # normalize stays out of the verifier.
     for k in range(1, max_degree):
         for n in range(1, min(2 * k, max_degree - k + 1)):
-            if n + k > max_degree:
-                continue
             # Each word is split as (rest, first square applied).
             rhs_words = tuple((w[:-1], w[-1]) for w in adem_rewrite(n, k))
-            for gid, d in positive:
-                if d > max_degree:
-                    continue
+            for gid, _ in in_range:
                 checks += 1
                 own = table.get(gid)
                 if own is None:
@@ -520,7 +492,7 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
     return VerifyReport(module.name, max_degree, checks, tuple(failures))
 
 
-class Pi4Report:
+class Pi4Report(Record):
     """Outcome of the Sq^2 comparison distinguishing the two mapping cofibres."""
 
     __slots__ = (
@@ -535,33 +507,6 @@ class Pi4Report:
         "distinct",
         "conclusion",
     )
-
-    def __init__(
-        self,
-        suspension_name: str,
-        wedge_name: str,
-        suspension_matrix: tuple[tuple[int, ...], ...],
-        wedge_matrix: tuple[tuple[int, ...], ...],
-        suspension_rank: int,
-        wedge_rank: int,
-        h3_dimensions: tuple[int, int],
-        h5_dimensions: tuple[int, int],
-        distinct: bool,
-        conclusion: tuple[str, ...],
-    ) -> None:
-        self.suspension_name = suspension_name
-        self.wedge_name = wedge_name
-        self.suspension_matrix = suspension_matrix
-        self.wedge_matrix = wedge_matrix
-        self.suspension_rank = suspension_rank
-        self.wedge_rank = wedge_rank
-        self.h3_dimensions = h3_dimensions
-        self.h5_dimensions = h5_dimensions
-        self.distinct = distinct
-        self.conclusion = conclusion
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and other.as_dict() == self.as_dict()
 
     @property
     def ok(self) -> bool:
@@ -614,14 +559,14 @@ def distinguish_pi4() -> Pi4Report:
             f"unexpected ranks {r_susp} and {r_wedge}: comparison is inconclusive",
         )
     return Pi4Report(
-        suspension_name=sigma_cp2.name,
-        wedge_name=wedge_53.name,
-        suspension_matrix=tuple(tuple(r) for r in m_susp),
-        wedge_matrix=tuple(tuple(r) for r in m_wedge),
-        suspension_rank=r_susp,
-        wedge_rank=r_wedge,
-        h3_dimensions=(len(sigma_cp2.gens_in_degree(3)), len(wedge_53.gens_in_degree(3))),
-        h5_dimensions=(len(sigma_cp2.gens_in_degree(5)), len(wedge_53.gens_in_degree(5))),
-        distinct=distinct,
-        conclusion=conclusion,
+        sigma_cp2.name,
+        wedge_53.name,
+        tuple(tuple(r) for r in m_susp),
+        tuple(tuple(r) for r in m_wedge),
+        r_susp,
+        r_wedge,
+        (len(sigma_cp2.gens_in_degree(3)), len(wedge_53.gens_in_degree(3))),
+        (len(sigma_cp2.gens_in_degree(5)), len(wedge_53.gens_in_degree(5))),
+        distinct,
+        conclusion,
     )

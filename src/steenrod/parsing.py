@@ -30,7 +30,7 @@ from collections.abc import Callable, Hashable
 from .adem import AdemElement, Word
 from .f2 import F2Sum
 from .modules import GradedModule, complex_proj, real_proj, sphere, suspend, wedge
-from .poly import Monomial, PolyElement
+from .poly import Monomial, PolyElement, make_monomial
 
 
 class ParseError(ValueError):
@@ -57,6 +57,12 @@ _MAX_MODULE_NESTING = 200
 #: cp models hold a product table quadratic in n, built and walked in
 #: full whatever the degree asked for.
 _MAX_MODULE_DIMENSION = 256
+
+#: Most table entries (generators, squares and products) one
+#: parse_module expression may build, over its s/rp/cp models and every
+#: wedge(...) and susp(...), each of which copies its operands' tables.
+#: Without it nested wedges cost time quadratic in the depth.
+_MAX_MODULE_ENTRIES = 1 << 17
 
 
 class _Scanner:
@@ -97,11 +103,11 @@ def _parse_sum(
     if text.strip() == "0":
         return cls(frozenset())
     scanner = _Scanner(text)
-    terms: frozenset = frozenset()
+    terms: set = set()
     while True:
         terms ^= {parse_term(scanner)}
         if scanner.at_end():
-            return cls(terms)
+            return cls(frozenset(terms))
         if not scanner.take("+"):
             raise scanner.error(f"expected '+' or end of {what}")
 
@@ -138,7 +144,7 @@ def parse_poly(text: str) -> PolyElement:
 def _parse_poly_mono(scanner: _Scanner) -> Monomial:
     if scanner.take("1"):
         return ()
-    exponents: dict[int, int] = {}
+    factors: list[tuple[int, int]] = []
     while True:
         scanner.skip_ws()
         start = scanner.pos
@@ -154,47 +160,55 @@ def _parse_poly_mono(scanner: _Scanner) -> Monomial:
             if not e:
                 raise scanner.error("expected an exponent after '^'")
             exp = int(e.group(0))
-        if exp:
-            exponents[index] = exponents.get(index, 0) + exp
+        factors.append((index, exp))
         if not scanner.take("*"):
-            break
-    return tuple(sorted(exponents.items()))
+            return make_monomial(factors)
 
 
 def parse_module(text: str) -> GradedModule:
-    """Build the module a constructor expression names, e.g. ``wedge(susp(cp2),s3)``."""
+    """Build the module a constructor expression names, e.g. ``wedge(susp(cp2),s3)``.
+
+    The expression is read and built left to right, and the first error
+    met is raised.
+    """
     scanner = _Scanner(text)
-    module = _parse_module_expr(scanner, 0)
+    module, _ = _parse_module_expr(scanner, 0, 0)
     if not scanner.at_end():
         raise scanner.error("expected end of module expression")
     return module
 
 
-def _parse_module_expr(scanner: _Scanner, depth: int) -> GradedModule:
+def _parse_module_expr(scanner: _Scanner, depth: int, built: int) -> tuple[GradedModule, int]:
+    """The module an expression names, and ``built`` plus the table entries built for it."""
     if depth > _MAX_MODULE_NESTING:
         raise scanner.error(f"module expression nested deeper than {_MAX_MODULE_NESTING} levels")
-    if scanner.take("wedge("):
-        left = _parse_module_expr(scanner, depth + 1)
-        if not scanner.take(","):
-            raise scanner.error("expected ','")
-        right = _parse_module_expr(scanner, depth + 1)
-        if not scanner.take(")"):
-            raise scanner.error("expected ')'")
-        return wedge(left, right)
-    if scanner.take("susp("):
-        inner = _parse_module_expr(scanner, depth + 1)
-        if not scanner.take(")"):
-            raise scanner.error("expected ')'")
-        return suspend(inner)
     scanner.skip_ws()
     start = scanner.pos
-    m = scanner.match(_SPACE_RE)
-    if not m:
-        raise scanner.error("expected s<n>, rp<n>, cp<n>, wedge(...) or susp(...)")
-    try:
-        n = int(m.group(2))
-        if n > _MAX_MODULE_DIMENSION:
-            raise ValueError(f"dimension must be at most {_MAX_MODULE_DIMENSION}")
-        return _SPACES[m.group(1)](n)
-    except ValueError as err:
-        raise ParseError(str(err), start) from None
+    if scanner.take("wedge("):
+        left, built = _parse_module_expr(scanner, depth + 1, built)
+        if not scanner.take(","):
+            raise scanner.error("expected ','")
+        right, built = _parse_module_expr(scanner, depth + 1, built)
+        if not scanner.take(")"):
+            raise scanner.error("expected ')'")
+        module = wedge(left, right)
+    elif scanner.take("susp("):
+        inner, built = _parse_module_expr(scanner, depth + 1, built)
+        if not scanner.take(")"):
+            raise scanner.error("expected ')'")
+        module = suspend(inner)
+    else:
+        m = scanner.match(_SPACE_RE)
+        if not m:
+            raise scanner.error("expected s<n>, rp<n>, cp<n>, wedge(...) or susp(...)")
+        try:
+            n = int(m.group(2))
+            if n > _MAX_MODULE_DIMENSION:
+                raise ValueError(f"dimension must be at most {_MAX_MODULE_DIMENSION}")
+            module = _SPACES[m.group(1)](n)
+        except ValueError as err:
+            raise ParseError(str(err), start) from None
+    built += len(module.generators) + len(module.sq) + len(module.products)
+    if built > _MAX_MODULE_ENTRIES:
+        raise ParseError(f"module expression builds more than {_MAX_MODULE_ENTRIES} table entries", start)
+    return module, built

@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
-from .adem import AdemElement, Word, admissible_basis
+from .adem import AdemElement, Sq, Word, admissible_basis
 from .f2 import F2Sum, common_degree
 from .linalg import rank_f2
 
@@ -131,11 +131,11 @@ def variable(index: int) -> PolyElement:
 
 def cup(p: PolyElement, q: PolyElement) -> PolyElement:
     """Cup product: plain polynomial multiplication with mod-2 coefficients."""
-    acc: frozenset[Monomial] = frozenset()
+    acc: set[Monomial] = set()
     for m1 in p.monomials:
         for m2 in q.monomials:
             acc ^= {monomial_mul(m1, m2)}
-    return PolyElement(acc)
+    return PolyElement(frozenset(acc))
 
 
 def _field_width(bound: int) -> int:
@@ -222,24 +222,6 @@ def _sq_monomial(n: int, packed: int, width: int) -> frozenset[int]:
     return frozenset(done)
 
 
-def sq_monomial(n: int, mono: Monomial) -> Iterable[Monomial]:
-    """The monomials of Sq^n(mono); they are distinct, so none cancel."""
-    if n == 0:
-        return (mono,)
-    variables, packed, width = _pack(mono, n)
-    return _unpack(_sq_monomial(n, packed, width), variables, width)
-
-
-def sq(n: int, p: PolyElement) -> PolyElement:
-    """Sq^n of a polynomial, by Cartan across factors and linearity."""
-    if n < 0:
-        raise ValueError("square index must be a natural number")
-    acc: set[Monomial] = set()
-    for mono in p.monomials:
-        acc.symmetric_difference_update(sq_monomial(n, mono))
-    return PolyElement(frozenset(acc))
-
-
 @lru_cache(maxsize=None)
 def _act_monomial(word: Word, packed: int, width: int) -> frozenset[int]:
     # Folds the word rightmost square first, in a loop, so its length is
@@ -274,6 +256,13 @@ def act(element: AdemElement, p: PolyElement) -> PolyElement:
             if images:
                 acc.symmetric_difference_update(_unpack(images, variables, width))
     return PolyElement(frozenset(acc))
+
+
+def sq(n: int, p: PolyElement) -> PolyElement:
+    """Sq^n of a polynomial: the identity for n = 0, else :func:`act` of the word Sq^n."""
+    if n < 0:
+        raise ValueError("square index must be a natural number")
+    return act(Sq(n), p) if n else p
 
 
 def _power_splits(factors: Monomial) -> list[tuple[Monomial, int]]:

@@ -1,6 +1,7 @@
 """Rewriting engine: admissibility, Adem expansion, normalization, basis."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +116,15 @@ def test_normalize_step_budget():
         normalize(Sq(5, 9, 13, 7), step_budget=1)
     # the failed call must not poison later ones
     assert normalize(Sq(5, 9, 13, 7)).is_admissible()
+
+
+def test_normalize_of_a_large_sum_takes_linear_time():
+    # Accumulating the normal forms in a frozenset copies the whole sum
+    # at every word (3.6 s on a 2-vCPU Xeon VM); a set takes 0.03 s.
+    element = AdemElement(frozenset((i,) for i in range(1, 16001)))
+    start = time.perf_counter()
+    assert normalize(element) == element
+    assert time.perf_counter() - start < 2
 
 
 def test_product_examples():

@@ -265,6 +265,14 @@ def test_verify_rejects_a_dimension_above_the_bound():
     assert proc.stderr == "error: dimension must be at most 256 (at column 0)\n"
 
 
+def test_verify_rejects_a_module_expression_above_the_entry_bound(capsys):
+    nested = "wedge(rp256," * 40 + "rp256" + ")" * 40
+    code, out, err = run(capsys, "verify", "--module", nested, "--max-degree", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: module expression builds more than 131072 table entries (at column 78)\n"
+
+
 def test_cli_import_does_not_load_dataclasses_or_inspect():
     unused = "{'dataclasses', 'inspect', 'pathlib', 'random', 'typing'}"
     probe = f"import sys, steenrod.cli; print(sorted({unused} & set(sys.modules)))"

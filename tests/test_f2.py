@@ -1,13 +1,13 @@
-"""Parity arithmetic against a Pascal-triangle oracle, F2-sum laws, and the F2Sum base."""
+"""Parity arithmetic against a Pascal-triangle oracle, F2-sum laws, and the F2Sum and Record bases."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from steenrod.adem import AdemElement, Sq
-from steenrod.derive import SymbolicClass
-from steenrod.f2 import F2Sum, adem_coeff, binom_mod2, common_degree
-from steenrod.modules import ModuleElement, real_proj
+from steenrod.derive import RelationCertificate, SymbolicClass
+from steenrod.f2 import F2Sum, Record, adem_coeff, binom_mod2, common_degree
+from steenrod.modules import AxiomFailure, ModuleElement, Pi4Report, VerifyReport, real_proj
 from steenrod.parsing import parse_poly
 from steenrod.poly import PolyElement
 
@@ -165,3 +165,44 @@ def test_hash_agrees_with_equality(x, y):
 def test_repr_names_the_class_and_its_context():
     assert repr(Sq(2)) == "AdemElement(frozenset({(2,)}))"
     assert repr(SymbolicClass.generic(1)) == "SymbolicClass(1, frozenset({((), ())}))"
+
+
+def test_records_take_their_fields_positionally():
+    failure = AxiomFailure("(I1)", "t1", "identity word does not act as identity")
+    assert (failure.axiom, failure.where, failure.detail) == ("(I1)", "t1", "identity word does not act as identity")
+    with pytest.raises(TypeError, match=r"^AxiomFailure takes 3 fields, got 2$"):
+        AxiomFailure("(I1)", "t1")
+    with pytest.raises(TypeError, match=r"^VerifyReport takes 4 fields, got 5$"):
+        VerifyReport("s1", 1, 0, (), "extra")
+    with pytest.raises(TypeError):
+        AxiomFailure("(I1)", "t1", detail="keywords are not fields")
+
+
+def test_records_compare_type_exactly_field_by_field():
+    fields = ("(I1)", "t1", "detail")
+    failure = AxiomFailure(*fields)
+    assert failure == AxiomFailure(*fields)
+    assert failure != AxiomFailure("(I1)", "t1", "other detail")
+    assert failure != fields and fields != failure
+    assert failure != RelationCertificate(*fields)
+
+    class Twin(Record):
+        __slots__ = AxiomFailure.__slots__
+
+    assert failure != Twin(*fields) and Twin(*fields) != failure
+    certificate = RelationCertificate(Sq(1, 1), AdemElement.zero(), True)
+    assert certificate == RelationCertificate(Sq(1, 1), AdemElement.zero(), True)
+    assert certificate != RelationCertificate(Sq(1, 1), AdemElement.zero(), False)
+
+
+@pytest.mark.parametrize("cls", [AxiomFailure, VerifyReport, Pi4Report, RelationCertificate])
+def test_records_are_unhashable(cls):
+    assert issubclass(cls, Record)
+    record = cls(*range(len(cls.__slots__)))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(record)
+
+
+def test_record_repr_lists_the_fields_in_order():
+    assert repr(AxiomFailure("(I1)", "t1", "d")) == "AxiomFailure('(I1)', 't1', 'd')"
+    assert repr(VerifyReport("s1", 2, 3, ())) == "VerifyReport('s1', 2, 3, ())"

@@ -1,5 +1,7 @@
 """Surface syntax: parsing, printing, and round trips."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,16 @@ monomials = st.dictionaries(st.integers(1, 5), st.integers(1, 6), max_size=4).ma
     make_monomial
 )
 poly_elements = st.frozensets(monomials, max_size=5).map(PolyElement)
+
+
+def test_parse_sq_of_a_large_sum_takes_linear_time():
+    # Accumulating the terms in a frozenset copies the whole sum at every
+    # '+' (about 5 s on a 2-vCPU Xeon VM); a set takes about 0.1 s.
+    text = " + ".join(f"Sq{i}" for i in range(1, 16001))
+    start = time.perf_counter()
+    element = parse_sq(text)
+    assert time.perf_counter() - start < 2
+    assert element.words == frozenset((i,) for i in range(1, 16001))
 
 
 def test_parse_sq_examples():
@@ -131,6 +143,22 @@ def test_parse_module_dimension_is_bounded():
             parse_module(text)
         assert err.value.position == column, text
         assert err.value.message == "dimension must be at most 256"
+
+
+def test_parse_module_bounds_the_table_entries_it_builds():
+    assert len(parse_module("wedge(rp256,cp256)").generators) == 512
+    assert len(parse_module("wedge(rp256,wedge(s3,cp256))").generators) == 513
+    # Each wedge copies both tables; without the bound the first took
+    # about a minute, and the second copies 64k products per level.
+    nested = "wedge(rp256," * 40 + "rp256" + ")" * 40
+    around_four = "wedge(s1," * 196 + "wedge(wedge(rp256,rp256),wedge(rp256,rp256))" + ")" * 196
+    for text, column in [(nested, 78), (around_four, 1789), ("wedge(rp256,wedge(rp256,rp256))", 0)]:
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_module(text)
+        assert time.perf_counter() - start < 10
+        assert err.value.message == "module expression builds more than 131072 table entries"
+        assert err.value.position == column, text[:40]
 
 
 _TOKENS = ["Sq", "t", "^", "*", "+", "0", "1", "2", "7", " ", "s", "rp", "cp", "wedge(", "susp(", ",", ")", "(", "x"]

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -384,3 +385,15 @@ print(json.dumps({"seen": seen, "same": first == again}))
     assert all(filled[name] > 0 for name in names)
     assert cleared == empty
     assert report["same"]
+
+
+def test_cup_of_large_sums_takes_linear_time():
+    # 200 x 200 products, all distinct.  Accumulating them in a frozenset
+    # copies the whole sum at every step (about a minute); a set takes
+    # about 0.1 s.
+    p = PolyElement(frozenset(make_monomial({1: i}) for i in range(200)))
+    q = PolyElement(frozenset(make_monomial({2: j}) for j in range(200)))
+    start = time.perf_counter()
+    product = cup(p, q)
+    assert time.perf_counter() - start < 10
+    assert product.monomials == {make_monomial({1: i, 2: j}) for i in range(200) for j in range(200)}
