@@ -69,23 +69,29 @@ __version__ = "0.1.0"
 def cache_info() -> dict[str, int]:
     """Entry counts of the engine's caches.
 
-    ``nf_cache`` holds normal forms of single words (``normalize``);
-    ``sq_monomial`` and ``act_monomial`` hold the Cartan action on
-    packed monomials (``act``, ``sq``, ``faithful_rank``).  All three
-    grow without bound.
+    ``nf_cache`` holds normal forms of single words and ``adem_rewrite``
+    the expansions of inadmissible pairs (``normalize``,
+    ``verify_axioms``); ``sq_monomial`` and ``act_monomial`` hold the
+    Cartan action on packed monomials (``act``, ``sq``); ``sq_orbit``
+    holds it on orbit sums of symmetric classes (``faithful_rank``,
+    ``vanishes_on_degree``).  All five grow without bound.
     """
     return {
         "nf_cache": len(_adem._NF_CACHE),
+        "adem_rewrite": _adem.adem_rewrite.cache_info().currsize,
         "sq_monomial": _poly._sq_monomial.cache_info().currsize,
         "act_monomial": _poly._act_monomial.cache_info().currsize,
+        "sq_orbit": _poly._sq_orbit.cache_info().currsize,
     }
 
 
 def clear_caches() -> None:
-    """Empty the three caches of :func:`cache_info`; results do not change."""
+    """Empty the five caches of :func:`cache_info`; results do not change."""
     _adem._NF_CACHE.clear()
+    _adem.adem_rewrite.cache_clear()
     _poly._sq_monomial.cache_clear()
     _poly._act_monomial.cache_clear()
+    _poly._sq_orbit.cache_clear()
 
 
 __all__ = [

@@ -15,6 +15,7 @@ it can serve as an oracle for the rewriting done here.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import lru_cache
 
 from .f2 import F2Sum, adem_coeff
 
@@ -63,12 +64,14 @@ def word_key(word: Word) -> tuple[int, int, Word]:
     return (degree(word), len(word), word)
 
 
+@lru_cache(maxsize=None)
 def adem_rewrite(a: int, b: int) -> frozenset[Word]:
     """Expand the inadmissible pair Sq^a Sq^b as an F2-sum of words.
 
     Requires ``1 <= a < 2*b``; rewriting an admissible pair is a
     contract error.  The c = 0 term drops its trailing Sq^0, so the
     result consists of words of length 1 or 2, all of degree a + b.
+    Expansions are cached for the life of the process (errors are not).
     """
     if not 1 <= a < 2 * b:
         raise ValueError(f"Sq{a} Sq{b} is not an inadmissible pair (need 1 <= a < 2b)")

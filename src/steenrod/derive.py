@@ -28,14 +28,15 @@ words all have excess above m.
 
 :func:`certify_relations` attaches two independent certificates to
 each relation: its normal form under Adem rewriting, and its value
-under the Cartan action on the squarefree class t1...tm.
+under the Cartan action on the squarefree class t1...tm, taken in the
+orbit basis of symmetric polynomials.
 """
 
 from __future__ import annotations
 
 from .adem import AdemElement, Word, degree, normalize, word_key
 from .f2 import F2Sum, Record, common_degree
-from .poly import Monomial, PolyElement, act, monomial_degree, monomial_mul, total_square
+from .poly import Monomial, PolyElement, act_on_squarefree, monomial_degree, monomial_mul, total_square
 
 #: Auxiliary variable indices for the two expansion directions.
 U, V = 1, 2
@@ -126,12 +127,14 @@ def vanishes_on_degree(element: AdemElement, m: int) -> bool:
     squarefree class t1...tm.  That one evaluation decides every
     degree-m class: admissible words of excess above m kill all of
     them, and the Sq^I(t1...tm) with I admissible of excess at most m
-    are linearly independent (Steenrod-Epstein, ch. I).
+    are linearly independent (Steenrod-Epstein, ch. I).  The image is
+    symmetric and is evaluated in the orbit basis
+    (:func:`steenrod.poly.act_on_squarefree`), where it is zero exactly
+    when it is zero as a polynomial.
     """
     if m < 0:
         raise ValueError("degree must be a natural number")
-    squarefree = PolyElement(frozenset({tuple((j, 1) for j in range(1, m + 1))}))
-    return act(element, squarefree).is_zero()
+    return not act_on_squarefree(element.words, m)
 
 
 class RelationCertificate(Record):

@@ -21,6 +21,15 @@ applied, and is part of every cache key.  A square only raises
 exponents, by at most its degree in total, so no field can overflow
 and exponents have no size limit.
 
+Symmetric classes are kept in the orbit basis.  The squarefree class
+t1...tm is the monomial-symmetric sum m_(1,...,1), and squares commute
+with permuting variables, so every image of it is a sum of m_lam: the
+sum of the monomials whose sorted exponents are lam, a length-m vector
+sorted descending.  :func:`act_on_squarefree` stores an image as its set
+of lam, one entry per orbit where the monomial basis holds up to m!.
+The m_lam are linearly independent, so an image is zero, and a set of
+images has a rank, exactly as in the monomial basis.
+
 The action implemented here never touches the rewriting engine in
 :mod:`steenrod.adem`.  That makes :func:`act` an independent oracle:
 an element and its normal form must act identically.
@@ -28,6 +37,7 @@ an element and its normal form must act identically.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
@@ -36,6 +46,8 @@ from .f2 import F2Sum, common_degree
 from .linalg import rank_f2
 
 Monomial = tuple[tuple[int, int], ...]
+#: An exponent vector sorted descending, zeros kept: the orbit of x^lam.
+Orbit = tuple[int, ...]
 
 #: Most terms :func:`total_square` expands an element into.
 _MAX_TOTAL_SQUARE_TERMS = 1 << 16
@@ -321,22 +333,77 @@ def coefficient(p: PolyElement, var: int, exp: int) -> PolyElement:
     return PolyElement(frozenset(out))
 
 
+def _orbit_twos(lam: Orbit) -> int:
+    """Sum of the popcounts of the multiplicities of the entries of lam.
+
+    By Legendre, v2(k!) = k - popcount(k), so the 2-adic valuation of
+    the orbit size m! / prod k! is this sum minus popcount(m).
+    """
+    return sum(k.bit_count() for k in Counter(lam).values())
+
+
+@lru_cache(maxsize=None)
+def _sq_orbit(n: int, lam: Orbit) -> frozenset[Orbit]:
+    # Sq^n(m_lam) = sum_mu c_mu m_mu.  Counting the pairs (alpha in orb lam,
+    # beta in orb mu) with x^beta a term of Sq^n(x^alpha) both ways gives
+    # c_mu |orb mu| = |orb lam| N, where N counts the terms of Sq^n(x^lam)
+    # whose sorted exponents are mu.  So c_mu is odd exactly when the
+    # 2-adic valuations balance.  A square never raises a zero exponent:
+    # mu keeps the zeros of lam, and the popcount(m) terms cancel.
+    _, packed, width = _pack(tuple(enumerate(lam, 1)), n)
+    zeros = (0,) * lam.count(0)
+    counts: dict[Orbit, int] = {}
+    for image in _sq_monomial(n, packed, width):
+        mu = tuple(sorted(_fields(image, width), reverse=True)) + zeros
+        counts[mu] = counts.get(mu, 0) + 1
+    twos = _orbit_twos(lam)
+    return frozenset(
+        mu for mu, count in counts.items() if (count & -count).bit_length() - 1 + twos == _orbit_twos(mu)
+    )
+
+
+def act_on_squarefree(words: Iterable[Word], m: int) -> frozenset[Orbit]:
+    """A sum of words applied to t1*...*tm, in the orbit basis.
+
+    Returns the lam whose monomial-symmetric sums m_lam make up the
+    image.  Each word is folded rightmost square first, as in
+    :func:`act`, one orbit at a time.
+    """
+    start = frozenset({(1,) * m})
+    acc: set[Orbit] = set()
+    for word in words:
+        images = start
+        for n in reversed(word):
+            if len(images) == 1:
+                images = _sq_orbit(n, next(iter(images)))
+            else:
+                step: set[Orbit] = set()
+                for lam in images:
+                    step.symmetric_difference_update(_sq_orbit(n, lam))
+                images = frozenset(step)
+            if not images:
+                break
+        acc.symmetric_difference_update(images)
+    return frozenset(acc)
+
+
 def faithful_rank(d: int) -> int:
     """Rank of the admissible-basis action on the squarefree class t1...td.
 
     Rows are act(w, t1*...*td) for w in the degree-d admissible basis,
-    expressed in the monomial basis of the target degree.  Comparing
-    against the basis size gives an empirical faithfulness check.
+    expressed in the orbit basis of the target degree (see
+    :func:`act_on_squarefree`); the rank is the one in the monomial
+    basis.  Comparing against the basis size gives an empirical
+    faithfulness check.
     """
     if d < 0:
         raise ValueError("degree must be a natural number")
-    _, packed, width = _pack(tuple((j, 1) for j in range(1, d + 1)), d)
     # Columns are numbered in first-seen order: the rank does not depend on it.
-    columns: dict[int, int] = {}
+    columns: dict[Orbit, int] = {}
     rows = []
     for word in admissible_basis(d):
         mask = 0
-        for mono in _act_monomial(word, packed, width):
-            mask |= 1 << columns.setdefault(mono, len(columns))
+        for lam in act_on_squarefree((word,), d):
+            mask |= 1 << columns.setdefault(lam, len(columns))
         rows.append(mask)
     return rank_f2(rows)

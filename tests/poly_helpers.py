@@ -1,12 +1,15 @@
 """Polynomial helpers that only the tests use.
 
 They build small oracles on top of the public polynomial API: the
-square of a single power, renaming a variable, and two identities of
-the total square.
+square of a single power, renaming a variable, two identities of the
+total square, and the monomial-basis evaluations on the squarefree
+class t1...tm that the orbit basis replaced in the library.
 """
 
+from steenrod.adem import AdemElement, admissible_basis
 from steenrod.f2 import binom_mod2
-from steenrod.poly import PolyElement, cup, make_monomial, total_square, variable
+from steenrod.linalg import rank_f2
+from steenrod.poly import PolyElement, _act_monomial, _pack, act, cup, make_monomial, total_square, variable
 
 
 def sq_on_power(var: int, power: int, n: int) -> PolyElement:
@@ -53,3 +56,39 @@ def check_tautological_vanishing(k: int) -> bool:
         if not image.is_zero():
             return False
     return True
+
+
+def reference_faithful_rank(d: int) -> int:
+    """Rank of the admissible-basis action on the squarefree class t1...td.
+
+    Rows are act(w, t1*...*td) for w in the degree-d admissible basis,
+    expressed in the monomial basis of the target degree.  Comparing
+    against the basis size gives an empirical faithfulness check.
+    """
+    if d < 0:
+        raise ValueError("degree must be a natural number")
+    _, packed, width = _pack(tuple((j, 1) for j in range(1, d + 1)), d)
+    # Columns are numbered in first-seen order: the rank does not depend on it.
+    columns: dict[int, int] = {}
+    rows = []
+    for word in admissible_basis(d):
+        mask = 0
+        for mono in _act_monomial(word, packed, width):
+            mask |= 1 << columns.setdefault(mono, len(columns))
+        rows.append(mask)
+    return rank_f2(rows)
+
+
+def reference_vanishes_on_degree(element: AdemElement, m: int) -> bool:
+    """Whether the element acts as zero on every class of degree m.
+
+    Evaluates the element once, through the Cartan action, on the
+    squarefree class t1...tm.  That one evaluation decides every
+    degree-m class: admissible words of excess above m kill all of
+    them, and the Sq^I(t1...tm) with I admissible of excess at most m
+    are linearly independent (Steenrod-Epstein, ch. I).
+    """
+    if m < 0:
+        raise ValueError("degree must be a natural number")
+    squarefree = PolyElement(frozenset({tuple((j, 1) for j in range(1, m + 1))}))
+    return act(element, squarefree).is_zero()

@@ -134,6 +134,14 @@ def test_derive_adem_degree_two_reports_unstable_relation(capsys):
     assert by_relation["Sq2 Sq2 + Sq3 Sq1"]["normalizes_to_zero"] is True
 
 
+def test_derive_adem_degree_twelve_certifies_every_relation(capsys):
+    code, out, _ = run(capsys, "derive-adem", "--degree", "12", "--json")
+    assert code == 1  # some relations hold on degree-12 classes only
+    doc = json.loads(out)
+    assert doc["relation_count"] == 186
+    assert all(rel["vanishes_on_degree_m_classes"] for rel in doc["relations"])
+
+
 def test_verify_builtin(capsys):
     code, out, _ = run(capsys, "verify", "--module", "rp8", "--max-degree", "8")
     assert code == 0

@@ -1,10 +1,11 @@
 """The double-total-square expansion and the relations it forces."""
 
 import itertools
+import time
 
 import pytest
 
-from steenrod.adem import Sq, degree, excess, normalize
+from steenrod.adem import Sq, admissible_basis, degree, excess, normalize
 from steenrod.derive import (
     SymbolicClass,
     U,
@@ -15,6 +16,8 @@ from steenrod.derive import (
     vanishes_on_degree,
 )
 from steenrod.poly import PolyElement, act, make_monomial
+
+from poly_helpers import reference_vanishes_on_degree
 
 
 def degree_m_monomials(m: int, nvars: int):
@@ -122,6 +125,24 @@ def test_vanishes_on_degree_detects_a_nonzero_operation():
     # Sq1 Sq2 = Sq3 is the cup square on degree-3 classes
     assert not vanishes_on_degree(Sq(1, 2), 3)
     assert vanishes_on_degree(Sq(1, 2), 2)
+
+
+def test_vanishes_on_degree_matches_the_monomial_basis_reference():
+    # every derived relation and every admissible word of degree <= m,
+    # with Sq1 added at m = 0, where Sq() is the only such word
+    for m in range(9):
+        words = [w for d in range(m + 1) for w in admissible_basis(d)] + ([(1,)] if m == 0 else [])
+        elements = derive_adem_relations(m) + [Sq(*w) for w in words]
+        for element in elements:
+            assert vanishes_on_degree(element, m) == reference_vanishes_on_degree(element, m), (m, str(element))
+
+
+def test_certify_relations_reaches_degree_12():
+    start = time.perf_counter()
+    certificates = certify_relations(12)
+    assert time.perf_counter() - start < 10
+    assert len(certificates) == 186
+    assert all(cert.vanishes_on_degree_m_classes for cert in certificates)
 
 
 def test_relation_residues_are_excess_dead():

@@ -32,6 +32,7 @@ from steenrod.poly import (
 from poly_helpers import (
     check_tautological_vanishing,
     check_total_sq_multiplicative,
+    reference_faithful_rank,
     sq_on_power,
     substitute,
 )
@@ -228,8 +229,33 @@ def test_faithful_rank_examples():
     assert faithful_rank(0) == 1
     assert faithful_rank(1) == 1
     assert faithful_rank(3) == len(admissible_basis(3)) == 2
-    for d in range(13):
+    for d in range(15):
         assert faithful_rank(d) == len(admissible_basis(d)), d
+
+
+def test_faithful_rank_matches_the_monomial_basis_reference():
+    for d in range(12):
+        assert faithful_rank(d) == reference_faithful_rank(d), d
+
+
+def orbit_sum(lam: tuple[int, ...]) -> PolyElement:
+    """The monomial-symmetric sum m_lam over t1..t_len(lam)."""
+    return PolyElement(frozenset(make_monomial(enumerate(alpha, 1)) for alpha in itertools.permutations(lam)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), max_size=5), st.integers(0, 8))
+def test_sq_orbit_is_the_orbit_reduction_of_the_action(exps, n):
+    lam = tuple(sorted(exps, reverse=True))
+    image = sq(n, orbit_sum(lam))
+    # Brute-force reduction: the sorted exponent vectors of the image's
+    # monomials, whose orbit sums must make up the image exactly.
+    orbits = {
+        tuple(sorted((dict(mono).get(v, 0) for v in range(1, len(lam) + 1)), reverse=True))
+        for mono in image.monomials
+    }
+    assert sum((orbit_sum(mu) for mu in orbits), PolyElement.zero()) == image
+    assert poly._sq_orbit(n, lam) == orbits
 
 
 def test_excess_vanishing():
@@ -346,7 +372,7 @@ def test_kernel_caches_are_empty_lru_caches_after_import():
 import functools, json
 import steenrod
 from steenrod import adem, poly
-caches = [poly._sq_monomial, poly._act_monomial]
+caches = [poly._sq_monomial, poly._act_monomial, poly._sq_orbit, adem.adem_rewrite]
 rewriting = [adem, adem.normalize, adem.product]
 print(json.dumps({
     "lru": [isinstance(c, functools._lru_cache_wrapper) for c in caches],
@@ -358,28 +384,32 @@ print(json.dumps({
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     report = json.loads(out.stdout)
-    assert report == {"lru": [True, True], "sizes": [0, 0], "imports_rewriting": [False, False, False]}
+    assert report == {
+        "lru": [True, True, True, True],
+        "sizes": [0, 0, 0, 0],
+        "imports_rewriting": [False, False, False],
+    }
 
 
 def test_cache_info_and_clear_caches_in_a_fresh_interpreter():
     probe = """
 import json
 import steenrod
-from steenrod import Sq, act, normalize, parse_poly
+from steenrod import Sq, act, faithful_rank, normalize, parse_poly
 p = parse_poly("t1*t2^3 + t3^2")
 seen = [steenrod.cache_info()]
-first = (str(normalize(Sq(2, 2) + Sq(1, 2, 2))), str(act(Sq(2, 1), p)))
+first = (str(normalize(Sq(2, 2) + Sq(1, 2, 2))), str(act(Sq(2, 1), p)), faithful_rank(3))
 seen.append(steenrod.cache_info())
 steenrod.clear_caches()
 seen.append(steenrod.cache_info())
-again = (str(normalize(Sq(2, 2) + Sq(1, 2, 2))), str(act(Sq(2, 1), p)))
+again = (str(normalize(Sq(2, 2) + Sq(1, 2, 2))), str(act(Sq(2, 1), p)), faithful_rank(3))
 print(json.dumps({"seen": seen, "same": first == again}))
 """
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     report = json.loads(out.stdout)
-    names = ["nf_cache", "sq_monomial", "act_monomial"]
+    names = ["nf_cache", "adem_rewrite", "sq_monomial", "act_monomial", "sq_orbit"]
     empty, filled, cleared = report["seen"]
     assert sorted(empty) == sorted(names) and set(empty.values()) == {0}
     assert all(filled[name] > 0 for name in names)
