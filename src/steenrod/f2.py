@@ -9,12 +9,13 @@ zero.  Every element class in this package (``AdemElement``,
 comparison once for all of them.  The report records
 (``AxiomFailure``, ``VerifyReport``, ``Pi4Report`` and
 ``RelationCertificate``) derive from :class:`Record`, which does their
-construction, comparison and ``repr`` once.
+construction, comparison and ``repr`` once.  :func:`act_word` applies
+a word of squares to a sum of terms for every action in the package.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Hashable, Iterable, Sequence
 
 
 def binom_mod2(n: int, k: int) -> int:
@@ -45,6 +46,26 @@ def common_degree(degrees: Iterable[int]) -> int | None:
     if len(found) > 1:
         raise ValueError(f"element is not homogeneous (degrees {sorted(found)})")
     return found.pop() if found else None
+
+
+def act_word(word: Sequence[int], terms: frozenset, square: Callable[[int, Hashable], frozenset]) -> frozenset:
+    """A word of squares applied to the F2-sum ``terms``, rightmost square first.
+
+    ``square(n, term)`` is Sq^n of one term as a set of terms; the images
+    of the terms cancel mod 2.  The fold is a loop, so a word's length is
+    not bounded by the recursion limit, and it stops once the sum is zero.
+    """
+    for n in reversed(word):
+        if not terms:
+            break
+        if len(terms) == 1:
+            terms = square(n, next(iter(terms)))
+        else:
+            acc: set = set()
+            for term in terms:
+                acc.symmetric_difference_update(square(n, term))
+            terms = frozenset(acc)
+    return terms
 
 
 class F2Sum:

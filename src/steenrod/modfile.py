@@ -13,9 +13,11 @@ The document is a single JSON object:
       "products": {"t1,t2": [], "t1,t1": ["t2"]}
     }
 
-``sq`` maps a generator id to a map from square index (as a string,
-JSON keys being strings) to the list of target ids.  ``products`` keys
-are comma-joined id pairs; pairs are stored with the smaller id first.
+``sq`` maps a generator id to a map from square index (a positive
+integer in plain decimal, as a string, JSON keys being strings) to the
+list of target ids.  ``products`` keys are comma-joined id pairs, each
+unordered pair at most once; pairs are stored with the smaller id first.
+Degrees are JSON integers, not ``true`` or ``false``.
 Absent entries mean zero in both tables.  Generator ids must match
 ``[A-Za-z][A-Za-z0-9_]*``.  Loading checks structure only (ids exist,
 every field has the right JSON type and shape; any violation is a
@@ -34,7 +36,8 @@ import re
 
 from .modules import GradedModule, pair_key
 
-_ID_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+_ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_INDEX_RE = re.compile(r"[1-9][0-9]*")
 
 
 def module_to_dict(module: GradedModule) -> dict:
@@ -76,7 +79,7 @@ def module_from_dict(doc: dict) -> GradedModule:
 
     name = doc["name"]
     top_degree = doc["top_degree"]
-    if not isinstance(name, str) or not isinstance(top_degree, int):
+    if not isinstance(name, str) or type(top_degree) is not int:
         raise ValueError("'name' must be a string and 'top_degree' an int")
 
     generators: list[tuple[str, int]] = []
@@ -85,9 +88,9 @@ def module_from_dict(doc: dict) -> GradedModule:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ValueError(f"generator entry {entry!r} must be an [id, degree] pair")
         gid, d = entry
-        if not isinstance(gid, str) or not _ID_RE.match(gid):
+        if not isinstance(gid, str) or not _ID_RE.fullmatch(gid):
             raise ValueError(f"bad generator id {gid!r}")
-        if not isinstance(d, int) or d < 1:
+        if type(d) is not int or d < 1:
             raise ValueError(f"generator {gid!r} needs a positive integer degree")
         if gid in ids:
             raise ValueError(f"duplicate generator id {gid!r}")
@@ -95,7 +98,7 @@ def module_from_dict(doc: dict) -> GradedModule:
         generators.append((gid, d))
 
     unit = doc.get("unit")
-    if unit is not None and (not isinstance(unit, str) or not _ID_RE.match(unit)):
+    if unit is not None and (not isinstance(unit, str) or not _ID_RE.fullmatch(unit)):
         raise ValueError(f"bad unit id {unit!r}")
 
     def known(gid: str, context: str) -> str:
@@ -107,27 +110,29 @@ def module_from_dict(doc: dict) -> GradedModule:
     for gid, table in _object(doc["sq"], "'sq'").items():
         known(gid, "sq table")
         for index, targets in _object(table, f"sq table of {gid!r}").items():
-            try:
-                i = int(index)
-            except (TypeError, ValueError):
-                raise ValueError(f"sq index {index!r} for {gid!r} must be an integer") from None
-            if i < 1:
-                raise ValueError(f"sq index {index!r} for {gid!r} must be >= 1")
+            if not isinstance(index, str) or not _INDEX_RE.fullmatch(index):
+                raise ValueError(f"sq index {index!r} for {gid!r} must be a positive integer in plain decimal")
+            i = int(index)
             context = f"Sq{i}({gid})"
             value = frozenset(known(t, context) for t in _array(targets, context))
             if value:
                 sq[(gid, i)] = value
 
     products: dict[tuple[str, str], frozenset[str]] = {}
+    pairs: set[tuple[str, str]] = set()
     for key, targets in _object(doc["products"], "'products'").items():
         parts = key.split(",") if isinstance(key, str) else ()
         if len(parts) != 2:
             raise ValueError(f"product key {key!r} must be 'id,id'")
         g, h = (known(p, "product table") for p in parts)
+        pair = pair_key(g, h)
+        if pair in pairs:
+            raise ValueError(f"product key {key!r} repeats the pair of an earlier key")
+        pairs.add(pair)
         context = f"{g} cup {h}"
         value = frozenset(known(t, context) for t in _array(targets, context))
         if value:
-            products[pair_key(g, h)] = value
+            products[pair] = value
 
     return GradedModule(name, tuple(generators), sq, products, top_degree, unit)
 

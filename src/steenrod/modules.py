@@ -17,7 +17,7 @@ nonzero.
 from __future__ import annotations
 
 from .adem import AdemElement, adem_rewrite
-from .f2 import F2Sum, Record, binom_mod2, common_degree
+from .f2 import F2Sum, Record, act_word, binom_mod2, common_degree
 from .linalg import matrix_rank
 
 SqTable = dict[tuple[str, int], frozenset[str]]
@@ -147,15 +147,7 @@ def act_on_module(element: AdemElement, x: ModuleElement) -> ModuleElement:
     module = x.module
     acc: set[str] = set()
     for word in element.words:
-        gens = x.gens
-        for i in reversed(word):
-            image: set[str] = set()
-            for g in gens:
-                image ^= module.sq_gen(g, i)
-            gens = image
-            if not gens:
-                break
-        acc ^= gens
+        acc ^= act_word(word, x.gens, lambda i, g: module.sq_gen(g, i))
     return ModuleElement(module, frozenset(acc))
 
 
@@ -332,18 +324,6 @@ _NO_SQUARES: dict[int, frozenset[str]] = {}
 _EMPTY: frozenset[str] = frozenset()
 
 
-def _act_word(table: _SquareTable, word: tuple[int, ...], gens: frozenset[str]) -> frozenset[str]:
-    """A word of squares (each >= 1) on a sum of generators, rightmost first."""
-    for i in reversed(word):
-        if not gens:
-            break
-        acc: set[str] = set()
-        for g in gens:
-            acc ^= table.get(g, _NO_SQUARES).get(i, _EMPTY)
-        gens = frozenset(acc)
-    return gens
-
-
 def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
     """Check the Steenrod axioms on a module up to the given degree.
 
@@ -367,6 +347,9 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
 
     def fail(axiom: str, where: str, detail: str) -> None:
         failures.append(AxiomFailure(axiom, where, detail))
+
+    def table_sq(i: int, gid: str) -> frozenset[str]:
+        return table.get(gid, _NO_SQUARES).get(i, _EMPTY)
 
     # Table consistency: stored squares respect degrees and instability.
     # The entries that pass fill the square table the other checks read.
@@ -403,13 +386,13 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
     # (I1) the empty word acts as the identity.
     for gid, _ in in_range:
         checks += 1
-        if _act_word(table, (), frozenset({gid})) != {gid}:
+        if act_word((), frozenset({gid}), table_sq) != {gid}:
             fail("(I1)", gid, "identity word does not act as identity")
 
     # (I3) top square equals cup square (absent products mean zero).
     for gid, d in in_range:
         checks += 1
-        top = table.get(gid, _NO_SQUARES).get(d, _EMPTY)
+        top = table_sq(d, gid)
         square = module.cup_gens(gid, gid)
         if top != square:
             fail(
@@ -462,8 +445,8 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
             ys = frozenset(g for g in gens if rng.random() < 0.5)
             for word in ((1,), (2,), (2, 1)):
                 checks += 1
-                both = _act_word(table, word, xs ^ ys)
-                split = _act_word(table, word, xs) ^ _act_word(table, word, ys)
+                both = act_word(word, xs ^ ys, table_sq)
+                split = act_word(word, xs, table_sq) ^ act_word(word, ys, table_sq)
                 if both != split:
                     fail("additivity", f"{word} on degree {d}", "action is not additive")
 
@@ -481,8 +464,8 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
                     continue  # every square of gid is zero, so both sides vanish
                 rhs = _EMPTY
                 for rest, first in rhs_words:
-                    rhs ^= _act_word(table, rest, own.get(first, _EMPTY))
-                if _act_word(table, (n,), own.get(k, _EMPTY)) != rhs:
+                    rhs ^= act_word(rest, own.get(first, _EMPTY), table_sq)
+                if act_word((n,), own.get(k, _EMPTY), table_sq) != rhs:
                     fail(
                         "(A)",
                         f"Sq{n} Sq{k} on {gid}",

@@ -38,11 +38,11 @@ an element and its normal form must act identically.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .adem import AdemElement, Sq, Word, admissible_basis
-from .f2 import F2Sum, common_degree
+from .f2 import F2Sum, act_word, common_degree
 from .linalg import rank_f2
 
 Monomial = tuple[tuple[int, int], ...]
@@ -191,8 +191,7 @@ def _unpack(images: Iterable[int], variables: tuple[int, ...], width: int) -> It
     return (tuple(zip(variables, _fields(image, width))) for image in images)
 
 
-@lru_cache(maxsize=None)
-def _sq_monomial(n: int, packed: int, width: int) -> frozenset[int]:
+def _cartan(width: int, n: int, packed: int) -> frozenset[int]:
     # Cartan convolution of Sq^n across the exponent fields, slot by
     # slot.  On a single power, Sq^i(t^e) = C(e, i) t^(e+i), and C(e, i)
     # is odd exactly when i is a submask of e, so only those i are
@@ -234,22 +233,14 @@ def _sq_monomial(n: int, packed: int, width: int) -> frozenset[int]:
     return frozenset(done)
 
 
+#: Sq^n of a packed monomial, cached.  :func:`_sq_orbit` calls the core
+#: itself, so the terms of its representatives are not kept twice.
+_sq_monomial = lru_cache(maxsize=None)(_cartan)
+
+
 @lru_cache(maxsize=None)
 def _act_monomial(word: Word, packed: int, width: int) -> frozenset[int]:
-    # Folds the word rightmost square first, in a loop, so its length is
-    # not bounded by the interpreter's recursion limit.
-    images = frozenset((packed,))
-    for n in reversed(word):
-        if len(images) == 1:
-            images = _sq_monomial(n, next(iter(images)), width)
-        else:
-            acc: set[int] = set()
-            for mono in images:
-                acc.symmetric_difference_update(_sq_monomial(n, mono, width))
-            images = frozenset(acc)
-        if not images:
-            break
-    return images
+    return act_word(word, frozenset((packed,)), partial(_sq_monomial, width))
 
 
 def act(element: AdemElement, p: PolyElement) -> PolyElement:
@@ -353,7 +344,7 @@ def _sq_orbit(n: int, lam: Orbit) -> frozenset[Orbit]:
     _, packed, width = _pack(tuple(enumerate(lam, 1)), n)
     zeros = (0,) * lam.count(0)
     counts: dict[Orbit, int] = {}
-    for image in _sq_monomial(n, packed, width):
+    for image in _cartan(width, n, packed):
         mu = tuple(sorted(_fields(image, width), reverse=True)) + zeros
         counts[mu] = counts.get(mu, 0) + 1
     twos = _orbit_twos(lam)
@@ -366,24 +357,13 @@ def act_on_squarefree(words: Iterable[Word], m: int) -> frozenset[Orbit]:
     """A sum of words applied to t1*...*tm, in the orbit basis.
 
     Returns the lam whose monomial-symmetric sums m_lam make up the
-    image.  Each word is folded rightmost square first, as in
-    :func:`act`, one orbit at a time.
+    image.  Each word is folded by :func:`steenrod.f2.act_word`, one orbit
+    at a time.
     """
     start = frozenset({(1,) * m})
     acc: set[Orbit] = set()
     for word in words:
-        images = start
-        for n in reversed(word):
-            if len(images) == 1:
-                images = _sq_orbit(n, next(iter(images)))
-            else:
-                step: set[Orbit] = set()
-                for lam in images:
-                    step.symmetric_difference_update(_sq_orbit(n, lam))
-                images = frozenset(step)
-            if not images:
-                break
-        acc.symmetric_difference_update(images)
+        acc.symmetric_difference_update(act_word(word, start, _sq_orbit))
     return frozenset(acc)
 
 

@@ -1,4 +1,4 @@
-"""Parity arithmetic against a Pascal-triangle oracle, F2-sum laws, and the F2Sum and Record bases."""
+"""Parity arithmetic against a Pascal-triangle oracle, F2-sum laws, the word fold, and the F2Sum and Record bases."""
 
 import pytest
 from hypothesis import given
@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from steenrod.adem import AdemElement, Sq
 from steenrod.derive import RelationCertificate, SymbolicClass
-from steenrod.f2 import F2Sum, Record, adem_coeff, binom_mod2, common_degree
+from steenrod.f2 import F2Sum, Record, act_word, adem_coeff, binom_mod2, common_degree
 from steenrod.modules import AxiomFailure, ModuleElement, Pi4Report, VerifyReport, real_proj
 from steenrod.parsing import parse_poly
 from steenrod.poly import PolyElement
@@ -87,6 +87,39 @@ def test_sum_add_examples():
     assert sum_add({"w"}, {"w"}) == frozenset()
     assert sum_add({"w"}, set()) == frozenset({"w"})
     assert sum_add({"w1"}, {"w2"}) == frozenset({"w1", "w2"})
+
+
+def test_act_word_applies_the_rightmost_square_first():
+    # A square map that does not commute: Sq^n appends the digit n.
+    def append(n, t):
+        return frozenset({10 * t + n})
+
+    assert act_word((1, 2), frozenset({0}), append) == {21}
+    assert act_word((2, 1), frozenset({0}), append) == {12}
+    assert act_word((1, 2), frozenset({3, 4}), append) == {321, 421}
+    assert act_word((), frozenset({3, 4}), append) == {3, 4}
+
+
+def test_act_word_cancels_images_mod_2():
+    def square(n, t):
+        return frozenset({n, 10 + t})
+
+    assert act_word((1,), frozenset({0, 1}), square) == {10, 11}
+    assert act_word((1,), frozenset({0, 1}), lambda n, t: frozenset({n})) == frozenset()
+
+
+def test_act_word_stops_once_the_sum_is_zero():
+    calls = []
+
+    def square(n, t):
+        calls.append((n, t))
+        return frozenset({n})
+
+    assert act_word((3, 2, 1), frozenset({0, 1}), square) == frozenset()
+    assert sorted(calls) == [(1, 0), (1, 1)]
+    calls.clear()
+    assert act_word((3, 2, 1), frozenset(), square) == frozenset()
+    assert calls == []
 
 
 def test_every_element_class_is_an_f2_sum():
