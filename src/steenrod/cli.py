@@ -36,6 +36,9 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_RESOURCE = 4
 
+#: Largest --degree of faithful and derive-adem (derive-adem 112: about 9 s).
+MAX_DEGREE = 112
+
 
 def _emit(payload: dict, text_lines: list[str], as_json: bool) -> None:
     if as_json:
@@ -242,6 +245,8 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     try:
+        if args.command in ("faithful", "derive-adem") and args.degree > MAX_DEGREE:
+            raise ValueError(f"degree must be at most {MAX_DEGREE}")
         return args.func(args)
     except StepBudgetExceeded as err:
         print(f"error: {err}", file=sys.stderr)

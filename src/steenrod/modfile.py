@@ -17,8 +17,8 @@ The document is a single JSON object:
 integer in plain decimal, as a string, JSON keys being strings) to the
 list of target ids.  ``products`` keys are comma-joined id pairs, each
 unordered pair at most once; pairs are stored with the smaller id first.
-Degrees are JSON integers, not ``true`` or ``false``.
-Absent entries mean zero in both tables.  Generator ids must match
+Degrees are JSON integers, not ``true`` or ``false``, and no JSON object
+repeats a key.  Absent entries mean zero in both tables.  Ids match
 ``[A-Za-z][A-Za-z0-9_]*``.  Loading checks structure only (ids exist,
 every field has the right JSON type and shape; any violation is a
 ``ValueError``); semantic checks belong to ``verify_axioms``, so a
@@ -92,8 +92,6 @@ def module_from_dict(doc: dict) -> GradedModule:
             raise ValueError(f"bad generator id {gid!r}")
         if type(d) is not int or d < 1:
             raise ValueError(f"generator {gid!r} needs a positive integer degree")
-        if gid in ids:
-            raise ValueError(f"duplicate generator id {gid!r}")
         ids.add(gid)
         generators.append((gid, d))
 
@@ -141,8 +139,16 @@ def dumps(module: GradedModule) -> str:
     return json.dumps(module_to_dict(module), sort_keys=True, indent=2) + "\n"
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"JSON object repeats the key {max(keys, key=keys.count)!r}")
+    return doc
+
+
 def loads(text: str) -> GradedModule:
-    return module_from_dict(json.loads(text))
+    return module_from_dict(json.loads(text, object_pairs_hook=_unique_keys))
 
 
 def save(module: GradedModule, path: str | os.PathLike) -> None:

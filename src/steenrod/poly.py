@@ -21,14 +21,14 @@ applied, and is part of every cache key.  A square only raises
 exponents, by at most its degree in total, so no field can overflow
 and exponents have no size limit.
 
-Symmetric classes are kept in the orbit basis.  The squarefree class
-t1...tm is the monomial-symmetric sum m_(1,...,1), and squares commute
-with permuting variables, so every image of it is a sum of m_lam: the
-sum of the monomials whose sorted exponents are lam, a length-m vector
-sorted descending.  :func:`act_on_squarefree` stores an image as its set
-of lam, one entry per orbit where the monomial basis holds up to m!.
-The m_lam are linearly independent, so an image is zero, and a set of
-images has a rank, exactly as in the monomial basis.
+Symmetric classes are kept in the orbit basis.  Squares commute with
+permuting variables, and Sq^i(t^(2^j)) is nonzero only for i in
+{0, 2^j}, so every image of the squarefree class t1...tm is a sum of
+m_lam: the sum of the monomials in m variables with lam[j] exponents
+2^j, for level counts lam.  :func:`act_on_squarefree` stores an image
+as its set of lam, one entry per orbit where the monomial basis holds
+up to m!.  The m_lam are linearly independent, so an image is zero,
+and a set of images has a rank, exactly as in the monomial basis.
 
 The action implemented here never touches the rewriting engine in
 :mod:`steenrod.adem`.  That makes :func:`act` an independent oracle:
@@ -37,16 +37,15 @@ an element and its normal form must act identically.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache, partial
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .adem import AdemElement, Sq, Word, admissible_basis
-from .f2 import F2Sum, act_word, common_degree
+from .f2 import F2Sum, act_word, binom_mod2, common_degree
 from .linalg import rank_f2
 
 Monomial = tuple[tuple[int, int], ...]
-#: An exponent vector sorted descending, zeros kept: the orbit of x^lam.
+#: Level counts of an orbit: lam[j] variables carry t^(2^j), no trailing zeros.
 Orbit = tuple[int, ...]
 
 #: Most terms :func:`total_square` expands an element into.
@@ -191,7 +190,8 @@ def _unpack(images: Iterable[int], variables: tuple[int, ...], width: int) -> It
     return (tuple(zip(variables, _fields(image, width))) for image in images)
 
 
-def _cartan(width: int, n: int, packed: int) -> frozenset[int]:
+@lru_cache(maxsize=None)
+def _sq_monomial(width: int, n: int, packed: int) -> frozenset[int]:
     # Cartan convolution of Sq^n across the exponent fields, slot by
     # slot.  On a single power, Sq^i(t^e) = C(e, i) t^(e+i), and C(e, i)
     # is odd exactly when i is a submask of e, so only those i are
@@ -231,11 +231,6 @@ def _cartan(width: int, n: int, packed: int) -> frozenset[int]:
             groups = carried
         shift += width
     return frozenset(done)
-
-
-#: Sq^n of a packed monomial, cached.  :func:`_sq_orbit` calls the core
-#: itself, so the terms of its representatives are not kept twice.
-_sq_monomial = lru_cache(maxsize=None)(_cartan)
 
 
 @lru_cache(maxsize=None)
@@ -324,43 +319,36 @@ def coefficient(p: PolyElement, var: int, exp: int) -> PolyElement:
     return PolyElement(frozenset(out))
 
 
-def _orbit_twos(lam: Orbit) -> int:
-    """Sum of the popcounts of the multiplicities of the entries of lam.
-
-    By Legendre, v2(k!) = k - popcount(k), so the 2-adic valuation of
-    the orbit size m! / prod k! is this sum minus popcount(m).
-    """
-    return sum(k.bit_count() for k in Counter(lam).values())
-
-
 @lru_cache(maxsize=None)
 def _sq_orbit(n: int, lam: Orbit) -> frozenset[Orbit]:
-    # Sq^n(m_lam) = sum_mu c_mu m_mu.  Counting the pairs (alpha in orb lam,
-    # beta in orb mu) with x^beta a term of Sq^n(x^alpha) both ways gives
-    # c_mu |orb mu| = |orb lam| N, where N counts the terms of Sq^n(x^lam)
-    # whose sorted exponents are mu.  So c_mu is odd exactly when the
-    # 2-adic valuations balance.  A square never raises a zero exponent:
-    # mu keeps the zeros of lam, and the popcount(m) terms cancel.
-    _, packed, width = _pack(tuple(enumerate(lam, 1)), n)
-    zeros = (0,) * lam.count(0)
-    counts: dict[Orbit, int] = {}
-    for image in _cartan(width, n, packed):
-        mu = tuple(sorted(_fields(image, width), reverse=True)) + zeros
-        counts[mu] = counts.get(mu, 0) + 1
-    twos = _orbit_twos(lam)
-    return frozenset(
-        mu for mu, count in counts.items() if (count & -count).bit_length() - 1 + twos == _orbit_twos(mu)
-    )
+    # Sq(t^(2^j)) = t^(2^j) + t^(2^(j+1)): a term of Sq^n(x^alpha), alpha in
+    # orb lam, doubles s_j of the lam[j] variables at each level j, with sum
+    # s_j 2^j = n, and lands on mu[j] = lam[j] - s_j + s_(j-1); mu fixes every
+    # s_j.  A monomial of orb mu is hit once per choice of the s_(j-1) doubled
+    # among its mu[j] level-j variables: the product of the C(mu[j], s_(j-1)).
+    states = [((), 0, n)]  # (mu so far, s_(j-1), n left)
+    room = sum(count << j for j, count in enumerate(lam))  # the most the levels above j can take
+    for j, count in enumerate(lam + (0,)):  # the level past lam takes the last carry
+        room -= count << j
+        grown = []
+        for head, carry, left in states:
+            for s in range(max(0, -((room - left) >> j)), min(count, left >> j) + 1):
+                here = count - s + carry
+                if binom_mod2(here, carry):
+                    grown.append((head + (here,), s, left - (s << j)))
+        states = grown
+    return frozenset(head if head[-1] else head[:-1] for head, _, left in states if not left)
 
 
 def act_on_squarefree(words: Iterable[Word], m: int) -> frozenset[Orbit]:
     """A sum of words applied to t1*...*tm, in the orbit basis.
 
-    Returns the lam whose monomial-symmetric sums m_lam make up the
-    image.  Each word is folded by :func:`steenrod.f2.act_word`, one orbit
-    at a time.
+    Returns the level counts lam whose monomial-symmetric sums m_lam
+    make up the image; t1*...*tm itself is ``(m,)``, or ``()`` for
+    m = 0.  Each word is folded by :func:`steenrod.f2.act_word`, one
+    orbit at a time.
     """
-    start = frozenset({(1,) * m})
+    start = frozenset({(m,) if m else ()})
     acc: set[Orbit] = set()
     for word in words:
         acc.symmetric_difference_update(act_word(word, start, _sq_orbit))

@@ -186,6 +186,20 @@ def test_verify_module_file_with_wrong_types(tmp_path, capsys, field):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_verify_module_file_with_a_repeated_key(tmp_path, capsys):
+    # Without the check the later "1" would win: Sq1(t1) = 0, an (I3) failure.
+    text = (
+        '{"name": "rp2", "top_degree": 2, "generators": [["t1", 1], ["t2", 2]],'
+        ' "sq": {"t1": {"1": ["t2"], "1": []}}, "products": {"t1,t1": ["t2"]}}'
+    )
+    path = tmp_path / "repeated.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--module", str(path), "--max-degree", "2", "--json")
+    assert code == 2
+    assert out == ""
+    assert err == "error: JSON object repeats the key '1'\n"
+
+
 @pytest.mark.parametrize("error", [MemoryError, RecursionError])
 def test_exhausted_resources_exit_code(capsys, monkeypatch, error):
     def exhausted(*args, **kwargs):
@@ -232,6 +246,22 @@ def test_faithful(capsys):
     code, out, _ = run(capsys, "faithful", "--degree", "6")
     assert code == 0
     assert "faithful" in out
+
+
+def test_faithful_degree_24_as_a_process():
+    env = {**os.environ, "PYTHONPATH": SRC}
+    argv = [sys.executable, "-m", "steenrod.cli", "faithful", "--degree", "24", "--json"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["rank"] == 26
+
+
+@pytest.mark.parametrize("command", ["faithful", "derive-adem"])
+def test_degree_above_the_bound_is_refused(capsys, command):
+    code, out, err = run(capsys, command, "--degree", str(cli.MAX_DEGREE + 1), "--json")
+    assert code == 2
+    assert out == ""
+    assert err == "error: degree must be at most 112\n"
 
 
 def test_distinguish_pi4(capsys):

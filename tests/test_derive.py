@@ -145,6 +145,14 @@ def test_certify_relations_reaches_degree_12():
     assert all(cert.vanishes_on_degree_m_classes for cert in certificates)
 
 
+def test_certify_relations_reaches_degree_20():
+    start = time.perf_counter()
+    certificates = certify_relations(20)
+    assert time.perf_counter() - start < 10
+    assert len(certificates) == 556
+    assert all(cert.vanishes_on_degree_m_classes for cert in certificates)
+
+
 def test_relation_residues_are_excess_dead():
     # normal forms need not vanish outright, but whatever survives must
     # have excess above m, so it still acts as zero in source degree m

@@ -1,5 +1,6 @@
 """Graded module catalog, axiom verifier, and the pi_4(S^3) comparison."""
 
+import json
 import random
 
 import pytest
@@ -277,12 +278,18 @@ def test_module_file_template_is_valid():
         {"sq": {"t1": {"1": ["t2"], "01": []}}},
         {"sq": {"t1": {"0": ["t2"]}}},
         {"products": {"t1,t2": [], "t2,t1": []}},
+        # Module-file text rather than fields: JSON keys repeated in one object.
+        json.dumps(_document(sq={})).replace('"sq": {}', '"sq": {"t1": {"1": ["t2"], "1": []}}'),
+        json.dumps(_document()).replace('"name": "rp2"', '"name": "rp2", "name": "rp3"'),
     ],
     ids=lambda fields: repr(fields),
 )
 def test_module_file_type_errors_are_value_errors(fields):
     with pytest.raises(ValueError):
-        modfile.module_from_dict(_document(**fields))
+        if isinstance(fields, str):
+            modfile.loads(fields)
+        else:
+            modfile.module_from_dict(_document(**fields))
 
 
 def test_module_file_rejects_non_string_product_key():

@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steenrod import poly
@@ -238,22 +238,41 @@ def test_faithful_rank_matches_the_monomial_basis_reference():
         assert faithful_rank(d) == reference_faithful_rank(d), d
 
 
+def test_faithful_rank_reaches_degree_48():
+    start = time.perf_counter()
+    assert faithful_rank(24) == 26
+    for d in range(49):
+        assert faithful_rank(d) == len(admissible_basis(d)), d
+    assert time.perf_counter() - start < 30
+
+
 def orbit_sum(lam: tuple[int, ...]) -> PolyElement:
-    """The monomial-symmetric sum m_lam over t1..t_len(lam)."""
-    return PolyElement(frozenset(make_monomial(enumerate(alpha, 1)) for alpha in itertools.permutations(lam)))
+    """The monomial-symmetric sum m_lam: lam[j] exponents 2^j over t1..t_sum(lam)."""
+    exps = [1 << j for j, count in enumerate(lam) for _ in range(count)]
+    return PolyElement(frozenset(make_monomial(enumerate(alpha, 1)) for alpha in itertools.permutations(exps)))
+
+
+def level_counts(mono) -> tuple[int, ...]:
+    """How many exponents of a monomial equal 2^j, for each j; every exponent must be a power of 2."""
+    counts = [0] * max((e.bit_length() for _, e in mono), default=0)
+    for _, e in mono:
+        assert e & (e - 1) == 0, mono
+        counts[e.bit_length() - 1] += 1
+    return tuple(counts)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 6), max_size=5), st.integers(0, 8))
-def test_sq_orbit_is_the_orbit_reduction_of_the_action(exps, n):
-    lam = tuple(sorted(exps, reverse=True))
+@given(st.lists(st.integers(0, 4), max_size=4).filter(lambda counts: sum(counts) <= 6), st.integers(0, 20))
+@example([3, 0, 2], 7)
+@example([0, 4], 8)
+def test_sq_orbit_is_the_orbit_reduction_of_the_action(counts, n):
+    while counts and not counts[-1]:
+        counts = counts[:-1]
+    lam = tuple(counts)
     image = sq(n, orbit_sum(lam))
-    # Brute-force reduction: the sorted exponent vectors of the image's
-    # monomials, whose orbit sums must make up the image exactly.
-    orbits = {
-        tuple(sorted((dict(mono).get(v, 0) for v in range(1, len(lam) + 1)), reverse=True))
-        for mono in image.monomials
-    }
+    # Brute-force reduction: the level counts of the image's monomials,
+    # whose orbit sums must make up the image exactly.
+    orbits = {level_counts(mono) for mono in image.monomials}
     assert sum((orbit_sum(mu) for mu in orbits), PolyElement.zero()) == image
     assert poly._sq_orbit(n, lam) == orbits
 
