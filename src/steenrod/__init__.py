@@ -24,7 +24,6 @@ from .adem import (
 )
 from .derive import (
     RelationCertificate,
-    SymbolicClass,
     certify_relations,
     derive_adem_relations,
     vanishes_on_degree,
@@ -105,7 +104,6 @@ __all__ = [
     "RelationCertificate",
     "Sq",
     "StepBudgetExceeded",
-    "SymbolicClass",
     "VerifyReport",
     "Word",
     "act",

@@ -36,7 +36,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_RESOURCE = 4
 
-#: Largest --degree of faithful and derive-adem (derive-adem 112: about 9 s).
+#: Largest --degree of basis, faithful and derive-adem (derive-adem 112: about 6 s).
 MAX_DEGREE = 112
 
 
@@ -245,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        if args.command in ("faithful", "derive-adem") and args.degree > MAX_DEGREE:
+        if args.command in ("basis", "faithful", "derive-adem") and args.degree > MAX_DEGREE:
             raise ValueError(f"degree must be at most {MAX_DEGREE}")
         return args.func(args)
     except StepBudgetExceeded as err:

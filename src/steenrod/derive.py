@@ -3,21 +3,22 @@
 Take a generic class ``a`` of degree m and two auxiliary degree-1
 variables u and v.  Squaring totally against u and then against v, or
 in the other order, must give the same answer: squaring all copies of
-a class is symmetric in the two directions.  Expanding both orders
-with the Cartan formula and identifying the coefficient of each
-bimonomial ``u^s v^r`` therefore forces F2-sums of composite squares
-to vanish.  Those sums are returned as raw :class:`AdemElement`
-values.
+a class is symmetric in the two directions.  Identifying the
+coefficient of each bimonomial ``u^p v^q`` in the two orders therefore
+forces F2-sums of composite squares to vanish.  Those sums are
+returned as raw :class:`AdemElement` values, never normalized, so the
+relations are genuinely forced by the expansion rather than assumed.
 
-Bookkeeping rules used by the expansion:
+The expansion has a closed form.  The total square T_v sends u to
+uv + u^2, and Sq^r vanishes above the degree of its argument
+(instability), so
 
-* operator words applied to ``a`` are kept raw, never normalized, so
-  the relations are genuinely forced by the expansion rather than
-  assumed;
-* the total square T is multiplicative: T(Sq_w(a) * mono) is
-  T(Sq_w(a)) * T(mono), with T(mono) the polynomial total square in u
-  and v, and T(Sq_w(a)) prepends Sq^r only for r up to the degree of
-  Sq_w(a) (instability).
+    T_v T_u a = sum_i sum_j Sq^j Sq^i a * v^(m+i-j) * (uv + u^2)^(m-i)
+
+over 0 <= i <= m and 0 <= j <= m + i, the shape of the
+Bullett-Macdonald identity at a fixed source degree.  By Lucas,
+(uv + u^2)^e = sum u^(e+k) v^(e-k) over the binary submasks k of e.
+The other order is the same sum with u and v exchanged.
 
 Because the expansion happens at a fixed source degree m, instability
 is part of the arithmetic.  The emitted relations hold on every
@@ -34,64 +35,9 @@ orbit basis of symmetric polynomials.
 
 from __future__ import annotations
 
-from .adem import AdemElement, Word, degree, normalize, word_key
-from .f2 import F2Sum, Record, common_degree
-from .poly import Monomial, PolyElement, act_on_squarefree, monomial_degree, monomial_mul, total_square
-
-#: Auxiliary variable indices for the two expansion directions.
-U, V = 1, 2
-
-SymTerm = tuple[Word, Monomial]
-
-
-class SymbolicClass(F2Sum):
-    """F2-sum of terms ``Sq_word(a) * monomial(u, v)`` for a symbol a.
-
-    Each term has total degree symbol_degree + degree(word) +
-    degree(monomial); elements are kept homogeneous.
-    """
-
-    __slots__ = ("symbol_degree",)
-
-    def __init__(self, symbol_degree: int, terms: frozenset[SymTerm]) -> None:
-        object.__setattr__(self, "symbol_degree", symbol_degree)
-        F2Sum.__init__(self, terms)
-
-    def _context(self) -> tuple:
-        return (self.symbol_degree,)
-
-    def total_degree(self) -> int | None:
-        return common_degree(
-            self.symbol_degree + degree(word) + monomial_degree(mono) for word, mono in self.terms
-        )
-
-    @classmethod
-    def generic(cls, symbol_degree: int) -> "SymbolicClass":
-        """The bare symbol a of the given degree."""
-        if symbol_degree < 0:
-            raise ValueError("symbol degree must be a natural number")
-        return cls(symbol_degree, frozenset({((), ())}))
-
-
-def total_square_symbolic(cls: SymbolicClass, var: int) -> SymbolicClass:
-    """Total square against a fresh auxiliary variable.
-
-    For a class of total degree M returns sum_j Sq^j(cls) * var^(M-j),
-    a homogeneous class of degree 2M.  A term Sq_w(a) * mono goes to
-    sum_r Sq^r Sq_w(a) * var^(D-r), over r up to the degree D of
-    Sq_w(a), times the total square of mono.  The variable must be fresh.
-    """
-    if cls.total_degree() is None:
-        return cls
-    acc: set[SymTerm] = set()
-    for word, mono in cls.terms:
-        squares = total_square(PolyElement(frozenset({mono})), var).monomials
-        argument_degree = cls.symbol_degree + degree(word)
-        for r in range(argument_degree + 1):
-            new_word = (r,) + word if r else word
-            vpow: Monomial = ((var, argument_degree - r),) if r < argument_degree else ()
-            acc.symmetric_difference_update((new_word, monomial_mul(square, vpow)) for square in squares)
-    return SymbolicClass(cls.symbol_degree, frozenset(acc))
+from .adem import AdemElement, Word, normalize, word_key
+from .f2 import Record, binom_mod2
+from .poly import act_on_squarefree
 
 
 def _relation_key(words: frozenset[Word]) -> tuple:
@@ -102,21 +48,24 @@ def _relation_key(words: frozenset[Word]) -> tuple:
 def derive_adem_relations(m: int) -> list[AdemElement]:
     """All operator relations forced on degree-m classes by the expansion.
 
-    Expands the two double total squares of a generic degree-m symbol
-    and collects, for every bimonomial u^s v^r where the two sides
-    disagree, the F2-sum of words that must therefore vanish on K_m.
+    Sums T_v T_u a for a generic degree-m class a in closed form and
+    collects, for every bimonomial u^p v^q where it differs from
+    T_u T_v a, the F2-sum of words that must therefore vanish on K_m.
     Duplicate relations are merged; each returned element is a
     homogeneous sum of words of length at most 2.
     """
-    base = SymbolicClass.generic(m)
-    u_then_v = total_square_symbolic(total_square_symbolic(base, U), V)
-    v_then_u = total_square_symbolic(total_square_symbolic(base, V), U)
-
-    by_monomial: dict[Monomial, set[Word]] = {}
-    for word, mono in u_then_v.terms ^ v_then_u.terms:
-        by_monomial.setdefault(mono, set()).add(word)
-
-    relations = {frozenset(words) for words in by_monomial.values() if words}
+    if m < 0:
+        raise ValueError("symbol degree must be a natural number")
+    words_at: dict[tuple[int, int], set[Word]] = {}
+    for i in range(m + 1):
+        e = m - i
+        submasks = [k for k in range(e + 1) if binom_mod2(e, k)]
+        for j in range(m + i + 1):
+            word = tuple(r for r in (j, i) if r)
+            for k in submasks:
+                words_at.setdefault((e + k, 2 * m - j - k), set()).symmetric_difference_update((word,))
+    relations = {frozenset(words ^ words_at.get((q, p), set())) for (p, q), words in words_at.items()}
+    relations.discard(frozenset())
     return [AdemElement(words) for words in sorted(relations, key=_relation_key)]
 
 

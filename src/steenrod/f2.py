@@ -4,7 +4,7 @@ Scalars over F2 are plain ints 0/1.  A formal F2-sum of basis terms is
 represented as a frozenset of the terms: addition is symmetric
 difference, so a term appearing twice cancels and the empty set is
 zero.  Every element class in this package (``AdemElement``,
-``PolyElement``, ``ModuleElement`` and ``SymbolicClass``) derives from
+``PolyElement`` and ``ModuleElement``) derives from
 :class:`F2Sum`, which holds that frozenset and does the arithmetic and
 comparison once for all of them.  The report records
 (``AxiomFailure``, ``VerifyReport``, ``Pi4Report`` and

@@ -256,7 +256,7 @@ def test_faithful_degree_24_as_a_process():
     assert json.loads(proc.stdout)["rank"] == 26
 
 
-@pytest.mark.parametrize("command", ["faithful", "derive-adem"])
+@pytest.mark.parametrize("command", ["basis", "faithful", "derive-adem"])
 def test_degree_above_the_bound_is_refused(capsys, command):
     code, out, err = run(capsys, command, "--degree", str(cli.MAX_DEGREE + 1), "--json")
     assert code == 2

@@ -6,17 +6,10 @@ import time
 import pytest
 
 from steenrod.adem import Sq, admissible_basis, degree, excess, normalize
-from steenrod.derive import (
-    SymbolicClass,
-    U,
-    V,
-    certify_relations,
-    derive_adem_relations,
-    total_square_symbolic,
-    vanishes_on_degree,
-)
+from steenrod.derive import certify_relations, derive_adem_relations, vanishes_on_degree
 from steenrod.poly import PolyElement, act, make_monomial
 
+from derive_helpers import SymbolicClass, U, V, reference_derive_adem_relations, total_square_symbolic
 from poly_helpers import reference_vanishes_on_degree
 
 
@@ -81,6 +74,11 @@ def test_relations_degree_two_known_set():
     assert frozenset({(2, 2), (3, 1)}) in rels  # Sq2 Sq2 = Sq3 Sq1
     assert frozenset({(3, 2)}) in rels  # Sq3 Sq2 = 0
     assert frozenset({(1, 2)}) in rels  # Sq1 Sq2 = 0 on degree-2 classes only
+
+
+def test_derive_adem_relations_matches_the_reference():
+    for m in range(33):
+        assert derive_adem_relations(m) == reference_derive_adem_relations(m), m
 
 
 def test_relation_counts():
@@ -173,6 +171,8 @@ def test_stable_relations_appear():
 def test_generic_rejects_negative_degree():
     with pytest.raises(ValueError):
         SymbolicClass.generic(-1)
+    with pytest.raises(ValueError, match="symbol degree must be a natural number"):
+        derive_adem_relations(-1)
 
 
 def test_inhomogeneous_symbolic_class_rejected():

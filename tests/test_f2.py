@@ -5,11 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from steenrod.adem import AdemElement, Sq
-from steenrod.derive import RelationCertificate, SymbolicClass
+from steenrod.derive import RelationCertificate
 from steenrod.f2 import F2Sum, Record, act_word, adem_coeff, binom_mod2, common_degree
 from steenrod.modules import AxiomFailure, ModuleElement, Pi4Report, VerifyReport, real_proj
 from steenrod.parsing import parse_poly
 from steenrod.poly import PolyElement
+
+from derive_helpers import SymbolicClass
 
 
 def sum_add(x, y) -> frozenset:
