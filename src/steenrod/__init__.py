@@ -71,7 +71,7 @@ def cache_info() -> dict[str, int]:
     ``nf_cache`` holds normal forms of single words and ``adem_rewrite``
     the expansions of inadmissible pairs (``normalize``,
     ``verify_axioms``); ``sq_monomial`` and ``act_monomial`` hold the
-    Cartan action on packed monomials (``act``, ``sq``); ``sq_orbit``
+    Cartan action on monomials (``act``, ``sq``); ``sq_orbit``
     holds it on orbit sums of symmetric classes (``faithful_rank``,
     ``vanishes_on_degree``).  All five grow without bound.
     """

@@ -36,7 +36,8 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_RESOURCE = 4
 
-#: Largest --degree of basis, faithful and derive-adem (derive-adem 112: about 6 s).
+#: Largest --degree of basis, faithful and derive-adem, and --max-degree of verify
+#: (derive-adem 112: about 6 s).
 MAX_DEGREE = 112
 
 
@@ -245,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        if args.command in ("basis", "faithful", "derive-adem") and args.degree > MAX_DEGREE:
+        if getattr(args, "degree", getattr(args, "max_degree", 0)) > MAX_DEGREE:
             raise ValueError(f"degree must be at most {MAX_DEGREE}")
         return args.func(args)
     except StepBudgetExceeded as err:

@@ -8,18 +8,15 @@ pairs with positive exponents; a :class:`PolyElement` is a formal
 F2-sum of monomials.  Tuples are the public form: parsing, printing
 and every function here take and return them.
 
-Inside the action kernel a monomial is packed into one int.  Its
-exponents, in the order of its sorted variables, fill fixed-width
-fields, the first variable in the lowest bits.  The variable names stay
-outside the int, so the kernel caches (``_sq_monomial`` and
-``_act_monomial``) are keyed by exponent vector: ``t3*t7`` and
-``t1*t2`` share one entry, and multiplying two monomials over the same
-variables is integer addition.  The field width (8, 16, 32, ... bits)
-is chosen where a monomial enters the kernel, as the narrowest that
-holds its largest exponent plus the degree of the operator about to be
-applied, and is part of every cache key.  A square only raises
-exponents, by at most its degree in total, so no field can overflow
-and exponents have no size limit.
+The action kernel sees exponent vectors, not variable names, so
+``t3*t7`` and ``t1*t2`` share its cache entries.  ``_act_monomial``
+caches the images of a word on an exponent tuple.  On a miss it packs
+the exponents into fixed-width fields of one int, the first in the
+lowest bits, and folds the word through ``_sq_monomial``, which caches
+one square on a packed monomial.  The width (8, 16, 32, ... bits) is
+the narrowest that holds the largest exponent plus the degree of the
+word; a square only raises exponents, by at most its degree in total,
+so no field can overflow and exponents have no size limit.
 
 Symmetric classes are kept in the orbit basis.  Squares commute with
 permuting variables, and Sq^i(t^(2^j)) is nonzero only for i in
@@ -38,7 +35,7 @@ an element and its normal form must act identically.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .adem import AdemElement, Sq, Word, admissible_basis
 from .f2 import F2Sum, act_word, binom_mod2, common_degree
@@ -157,21 +154,14 @@ def _field_width(bound: int) -> int:
     return width
 
 
-def _pack(mono: Monomial, degree: int) -> tuple[tuple[int, ...], int, int]:
-    """Variables, packed exponents and field width of a monomial.
-
-    The width leaves room for operators of total degree up to ``degree``.
-    """
-    if not mono:
-        return (), 0, _field_width(degree)
-    variables, exps = zip(*mono)
-    width = _field_width(max(exps) + degree)
+def _pack(exps: Sequence[int], width: int) -> int:
+    """Exponents in fixed-width fields of one int, the first in the lowest bits."""
     if width == 8:
-        return variables, int.from_bytes(bytes(exps), "little"), width
+        return int.from_bytes(bytes(exps), "little")
     packed = 0
     for exp in reversed(exps):
         packed = (packed << width) | exp
-    return variables, packed, width
+    return packed
 
 
 def _fields(packed: int, width: int) -> Sequence[int]:
@@ -180,14 +170,6 @@ def _fields(packed: int, width: int) -> Sequence[int]:
         return packed.to_bytes((packed.bit_length() + 7) >> 3, "little")
     mask = (1 << width) - 1
     return [(packed >> shift) & mask for shift in range(0, packed.bit_length(), width)]
-
-
-def _unpack(images: Iterable[int], variables: tuple[int, ...], width: int) -> Iterator[Monomial]:
-    """Tuple monomials of packed images over the given variables."""
-    if width == 8:
-        k = len(variables)
-        return (tuple(zip(variables, image.to_bytes(k, "little"))) for image in images)
-    return (tuple(zip(variables, _fields(image, width))) for image in images)
 
 
 @lru_cache(maxsize=None)
@@ -234,8 +216,11 @@ def _sq_monomial(width: int, n: int, packed: int) -> frozenset[int]:
 
 
 @lru_cache(maxsize=None)
-def _act_monomial(word: Word, packed: int, width: int) -> frozenset[int]:
-    return act_word(word, frozenset((packed,)), partial(_sq_monomial, width))
+def _act_monomial(word: Word, exps: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    # Squares never lower an exponent, so every image has len(exps) fields.
+    width = _field_width(max(exps, default=0) + sum(word))
+    images = act_word(word, frozenset((_pack(exps, width),)), partial(_sq_monomial, width))
+    return frozenset(tuple(_fields(image, width)) for image in images)
 
 
 def act(element: AdemElement, p: PolyElement) -> PolyElement:
@@ -245,14 +230,13 @@ def act(element: AdemElement, p: PolyElement) -> PolyElement:
     action; the rewriting engine is never consulted.
     """
     words = element.words
-    degree = max(map(sum, words), default=0)
     acc: set[Monomial] = set()
     for mono in p.monomials:
-        variables, packed, width = _pack(mono, degree)
+        variables, exps = zip(*mono) if mono else ((), ())
         for word in words:
-            images = _act_monomial(word, packed, width)
+            images = _act_monomial(word, exps)
             if images:
-                acc.symmetric_difference_update(_unpack(images, variables, width))
+                acc.symmetric_difference_update(tuple(zip(variables, image)) for image in images)
     return PolyElement(frozenset(acc))
 
 

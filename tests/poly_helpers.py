@@ -9,7 +9,7 @@ class t1...tm that the orbit basis replaced in the library.
 from steenrod.adem import AdemElement, admissible_basis
 from steenrod.f2 import binom_mod2
 from steenrod.linalg import rank_f2
-from steenrod.poly import PolyElement, _act_monomial, _pack, act, cup, make_monomial, total_square, variable
+from steenrod.poly import PolyElement, _act_monomial, act, cup, make_monomial, total_square, variable
 
 
 def sq_on_power(var: int, power: int, n: int) -> PolyElement:
@@ -67,13 +67,12 @@ def reference_faithful_rank(d: int) -> int:
     """
     if d < 0:
         raise ValueError("degree must be a natural number")
-    _, packed, width = _pack(tuple((j, 1) for j in range(1, d + 1)), d)
     # Columns are numbered in first-seen order: the rank does not depend on it.
-    columns: dict[int, int] = {}
+    columns: dict[tuple[int, ...], int] = {}
     rows = []
     for word in admissible_basis(d):
         mask = 0
-        for mono in _act_monomial(word, packed, width):
+        for mono in _act_monomial(word, (1,) * d):
             mask |= 1 << columns.setdefault(mono, len(columns))
         rows.append(mask)
     return rank_f2(rows)

@@ -264,6 +264,13 @@ def test_degree_above_the_bound_is_refused(capsys, command):
     assert err == "error: degree must be at most 112\n"
 
 
+def test_verify_max_degree_above_the_bound_is_refused(capsys):
+    code, out, err = run(capsys, "verify", "--module", "s1", "--max-degree", str(cli.MAX_DEGREE + 1))
+    assert code == 2
+    assert out == ""
+    assert err == "error: degree must be at most 112\n"
+
+
 def test_distinguish_pi4(capsys):
     code, out, _ = run(capsys, "distinguish-pi4")
     assert code == 0

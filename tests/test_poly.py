@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import steenrod
 from steenrod import poly
 from steenrod.adem import AdemElement, Sq, admissible_basis, excess
 from steenrod.f2 import adem_coeff
@@ -348,6 +349,16 @@ def test_act_depends_only_on_exponents():
         renamed = substitute(substitute(substitute(image_dense, 3, 11), 2, 5), 1, 2)
         assert image_sparse == renamed, word
         assert image_sparse == cartan_reference(word, mono), word
+
+
+def test_act_monomial_cache_key_holds_no_field_width():
+    # Sq64 on t1^201 needs 16-bit fields, Sq1 alone 8-bit ones; the word Sq1
+    # on the exponents (201,) must still be one cache entry.
+    steenrod.clear_caches()
+    p = parse_poly("t1^201")
+    assert act(Sq(1), p) == parse_poly("t1^202")
+    assert act(Sq(1) + Sq(64), p) == parse_poly("t1^202 + t1^265")
+    assert steenrod.cache_info()["act_monomial"] == 2
 
 
 def test_act_on_a_product_of_1100_variables():
