@@ -21,9 +21,11 @@ from .f2 import F2Sum, adem_coeff
 
 Word = tuple[int, ...]
 
-#: Rewrite applications allowed per normalize() call before giving up.
-#: Adem rewriting terminates, so the budget only turns a regression
-#: into a reported error instead of a hang.
+#: Rewrite steps allowed per normalize() call before giving up.  A
+#: rewrite of Sq^a Sq^b costs a // 2 + 1 steps, the length of the Adem
+#: sum it expands, whether or not that expansion is cached.  Adem
+#: rewriting terminates, so the budget only turns a regression or a
+#: huge square into a reported error instead of a hang.
 DEFAULT_STEP_BUDGET = 10**6
 
 
@@ -136,8 +138,8 @@ class _Budget:
     def __init__(self, steps: int) -> None:
         self.left = steps
 
-    def spend(self) -> None:
-        self.left -= 1
+    def spend(self, steps: int) -> None:
+        self.left -= steps
         if self.left < 0:
             raise StepBudgetExceeded(
                 "normalization exceeded its rewrite step budget"
@@ -179,7 +181,7 @@ def _word_normal_form(word: Word, budget: _Budget) -> frozenset[Word]:
         w = max(pending)
         pending.remove(w)
         j = _first_inadmissible(w)
-        budget.spend()
+        budget.spend(w[j] // 2 + 1)
         for tail in adem_rewrite(w[j], w[j + 1]):
             fold(w[:j] + tail + w[j + 2 :])
 

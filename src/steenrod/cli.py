@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterable, Iterator
 
 from .adem import (
     DEFAULT_STEP_BUDGET,
@@ -41,7 +42,7 @@ EXIT_RESOURCE = 4
 MAX_DEGREE = 112
 
 
-def _emit(payload: dict, text_lines: list[str], as_json: bool) -> None:
+def _emit(payload: dict, text_lines: Iterable[str], as_json: bool) -> None:
     if as_json:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
@@ -128,18 +129,20 @@ def _cmd_derive_adem(args: argparse.Namespace) -> int:
         "relations": [cert.as_dict() for cert in certificates],
         "all_normalize_to_zero": all_zero,
     }
-    lines = []
-    for cert in certificates:
-        status = "0" if cert.normalizes_to_zero else str(cert.normal_form)
-        lines.append(
-            f"{cert.relation}  ->  normal form: {status}"
-            + ("" if cert.normalizes_to_zero else "  [nonzero: holds on degree-%d classes only]" % m)
+
+    def lines() -> Iterator[str]:  # formatted only when printed
+        for cert in certificates:
+            status = "0" if cert.normalizes_to_zero else str(cert.normal_form)
+            yield (
+                f"{cert.relation}  ->  normal form: {status}"
+                + ("" if cert.normalizes_to_zero else "  [nonzero: holds on degree-%d classes only]" % m)
+            )
+        yield (
+            f"{len(certificates)} relation(s); "
+            + ("all normalize to 0" if all_zero else "some hold only in source degree %d" % m)
         )
-    lines.append(
-        f"{len(certificates)} relation(s); "
-        + ("all normalize to 0" if all_zero else "some hold only in source degree %d" % m)
-    )
-    _emit(payload, lines, args.json)
+
+    _emit(payload, lines(), args.json)
     return EXIT_OK if all_zero else EXIT_VERIFY_FAILED
 
 

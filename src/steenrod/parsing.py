@@ -20,12 +20,16 @@ Whitespace is free around tokens.  As an extension, the single token
 ``0`` denotes the zero element in the Sq and polynomial grammars, so
 printing and parsing round-trip on every element.  Errors carry the
 offending position.
+
+Each Sq or polynomial term is read with one regular-expression match
+and one ``findall``; a term is re-read factor by factor only to report
+an error at the column a token-by-token scan would give.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Hashable
+from collections.abc import Callable
 
 from .adem import AdemElement, Word
 from .f2 import F2Sum
@@ -43,9 +47,13 @@ class ParseError(ValueError):
 
 
 _WS_RE = re.compile(r"\s*")
-_SQ_RE = re.compile(r"Sq(\d+)")
-_VAR_RE = re.compile(r"t(\d+)")
 _NAT_RE = re.compile(r"\d+")
+_FACTOR_RE = re.compile(r"t(\d+)(?:\s*\^\s*(\d+))?")
+#: One term with the whitespace around it.  A monomial match also takes a
+#: '*' or '^' left dangling after its factors (group 2), to name what is missing.
+_SQ_TERM_RE = re.compile(r"\s*(?:1|(Sq\d+(?:\s*Sq\d+)*))\s*")
+_MONO_RE = re.compile(r"\s*(?:1|(t\d+(?:\s*\^\s*\d+)?(?:\s*\*\s*t\d+(?:\s*\^\s*\d+)?)*)(?:\s*([*^]))?)\s*")
+_FACTOR_MISSING = "expected a factor like t1 or t2^3"
 _SPACE_RE = re.compile(r"(rp|cp|s)(\d+)")
 _SPACES = {"s": sphere, "rp": real_proj, "cp": complex_proj}
 
@@ -97,72 +105,62 @@ class _Scanner:
 
 
 def _parse_sum(
-    text: str, parse_term: Callable[[_Scanner], Hashable], cls: type[F2Sum], what: str
+    text: str, term_re: re.Pattern, read_term: Callable, cls: type[F2Sum], what: str, missing: str
 ) -> F2Sum:
-    """A '+'-separated sum of terms, or the single token ``0``; duplicate terms cancel."""
+    """A '+'-separated sum of terms, or the single token ``0``; duplicate terms cancel.
+
+    ``term_re`` matches one term with the whitespace around it; ``read_term`` reads it off.
+    """
     if text.strip() == "0":
         return cls(frozenset())
-    scanner = _Scanner(text)
     terms: set = set()
-    while True:
-        terms ^= {parse_term(scanner)}
-        if scanner.at_end():
+    pos = 0
+    while m := term_re.match(text, pos):
+        terms ^= {read_term(text, m)}
+        pos = m.end()
+        if pos == len(text):
             return cls(frozenset(terms))
-        if not scanner.take("+"):
-            raise scanner.error(f"expected '+' or end of {what}")
+        if text[pos] != "+":
+            raise ParseError(f"expected '+' or end of {what}", pos)
+        pos += 1
+    raise ParseError(missing, _WS_RE.match(text, pos).end())
 
 
 def parse_sq(text: str) -> AdemElement:
     """Parse a Sq expression; duplicate terms cancel mod 2."""
-    return _parse_sum(text, _parse_sq_term, AdemElement, "expression")
+    missing = "expected a term: '1' or a sequence of SqN factors"
+    return _parse_sum(text, _SQ_TERM_RE, _read_word, AdemElement, "expression", missing)
 
 
-def _parse_sq_term(scanner: _Scanner) -> Word:
-    if scanner.take("1"):
-        return ()
-    exponents: list[int] = []
-    while True:
-        scanner.skip_ws()
-        start = scanner.pos
-        m = scanner.match(_SQ_RE)
-        if not m:
-            break
-        value = int(m.group(1))
-        if value == 0:
-            raise ParseError("Sq0 is not allowed; write 1 for the identity", start)
-        exponents.append(value)
-    if not exponents:
-        raise scanner.error("expected a term: '1' or a sequence of SqN factors")
-    return tuple(exponents)
+def _read_word(text: str, m: re.Match) -> Word:
+    try:  # the term '1' has no factors
+        if 0 not in (word := tuple(map(int, _NAT_RE.findall(m[1] or "")))):
+            return word
+    except ValueError:  # a number too long for int(); raised below, in text order
+        pass
+    for number in _NAT_RE.finditer(text, *m.span(1)):
+        if int(number[0]) == 0:
+            raise ParseError("Sq0 is not allowed; write 1 for the identity", number.start() - len("Sq"))
 
 
 def parse_poly(text: str) -> PolyElement:
     """Parse a polynomial over F2[t1..tk]; duplicate monomials cancel."""
-    return _parse_sum(text, _parse_poly_mono, PolyElement, "polynomial")
+    return _parse_sum(text, _MONO_RE, _read_mono, PolyElement, "polynomial", _FACTOR_MISSING)
 
 
-def _parse_poly_mono(scanner: _Scanner) -> Monomial:
-    if scanner.take("1"):
-        return ()
-    factors: list[tuple[int, int]] = []
-    while True:
-        scanner.skip_ws()
-        start = scanner.pos
-        m = scanner.match(_VAR_RE)
-        if not m:
-            raise scanner.error("expected a factor like t1 or t2^3")
-        index = int(m.group(1))
-        if index == 0:
-            raise ParseError("variables are numbered from t1", start)
-        exp = 1
-        if scanner.take("^"):
-            e = scanner.match(_NAT_RE)
-            if not e:
-                raise scanner.error("expected an exponent after '^'")
-            exp = int(e.group(0))
-        factors.append((index, exp))
-        if not scanner.take("*"):
-            return make_monomial(factors)
+def _read_mono(text: str, m: re.Match) -> Monomial:
+    try:  # the term '1' has no factors; make_monomial refuses t0
+        if m[2] is None:
+            return make_monomial((int(i), int(e or 1)) for i, e in _FACTOR_RE.findall(m[1] or ""))
+    except ValueError:  # t0, or a number too long for int(); raised below, in text order
+        pass
+    for factor in _FACTOR_RE.finditer(text, *m.span(1)):
+        if int(factor[1]) == 0:
+            raise ParseError("variables are numbered from t1", factor.start())
+        int(factor[2] or 1)  # an exponent too long for int() raises here
+    if m[2] == "*" or factor[2] is None:
+        raise ParseError(_FACTOR_MISSING if m[2] == "*" else "expected an exponent after '^'", m.end())
+    raise ParseError("expected '+' or end of polynomial", m.start(2))
 
 
 def parse_module(text: str) -> GradedModule:

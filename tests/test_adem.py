@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import steenrod
 from steenrod.adem import (
     AdemElement,
     Sq,
@@ -116,6 +117,24 @@ def test_normalize_step_budget():
         normalize(Sq(5, 9, 13, 7), step_budget=1)
     # the failed call must not poison later ones
     assert normalize(Sq(5, 9, 13, 7)).is_admissible()
+
+
+def test_normalize_charges_each_rewrite_its_length():
+    # Rewriting Sq^a Sq^b loops a // 2 + 1 times; charging one step per
+    # rewrite let this single rewrite run for about 7 s under the default
+    # budget.  The charge is the same whether the expansion is cached.
+    start = time.perf_counter()
+    for _ in range(2):
+        with pytest.raises(StepBudgetExceeded):
+            normalize(Sq(40000000, 40000000))
+    assert time.perf_counter() - start < 1
+    steenrod.clear_caches()
+    with pytest.raises(StepBudgetExceeded):
+        normalize(Sq(6, 4), step_budget=3)  # one rewrite, Sq6 Sq4 = Sq7 Sq3: 4 steps
+    assert normalize(Sq(6, 4), step_budget=4) == Sq(7, 3)
+    with pytest.raises(StepBudgetExceeded):
+        normalize(Sq(20, 6, 4), step_budget=3)  # adem_rewrite(6, 4) is cached now
+    assert normalize(Sq(20, 6, 4), step_budget=4) == Sq(20, 7, 3)
 
 
 def test_normalize_of_a_large_sum_takes_linear_time():

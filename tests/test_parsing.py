@@ -10,6 +10,8 @@ from steenrod.adem import AdemElement
 from steenrod.parsing import ParseError, parse_module, parse_poly, parse_sq
 from steenrod.poly import PolyElement, make_monomial
 
+from parsing_helpers import reference_parse_poly, reference_parse_sq
+
 words = st.lists(st.integers(1, 12), max_size=5).map(tuple)
 adem_elements = st.frozensets(words, max_size=5).map(AdemElement)
 
@@ -162,13 +164,83 @@ def test_parse_module_bounds_the_table_entries_it_builds():
 
 
 _TOKENS = ["Sq", "t", "^", "*", "+", "0", "1", "2", "7", " ", "s", "rp", "cp", "wedge(", "susp(", ",", ")", "(", "x"]
+_TEXTS = st.one_of(st.text(max_size=40), st.lists(st.sampled_from(_TOKENS), max_size=30).map("".join))
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(st.text(max_size=40), st.lists(st.sampled_from(_TOKENS), max_size=30).map("".join)))
+@given(_TEXTS)
 def test_parsers_give_a_result_or_a_value_error(text):
     for parse in (parse_sq, parse_poly, parse_module):
         try:
             parse(text)
         except ValueError:
             pass
+
+
+def _outcome(parse, text):
+    """What a parser gives: its element, or the type and wording of its error."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return ("ParseError", err.message, err.position)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+# The Sq and polynomial tokens alone, so that most texts reach deep into a term.
+_TERM_TOKENS = ["Sq", "t", "^", "*", "+", "0", "1", "2", " "]
+
+
+@settings(max_examples=2500, deadline=None)
+@given(st.one_of(_TEXTS, st.lists(st.sampled_from(_TERM_TOKENS), max_size=20).map("".join)))
+def test_parsers_agree_with_the_token_by_token_reference(text):
+    assert _outcome(parse_sq, text) == _outcome(reference_parse_sq, text)
+    assert _outcome(parse_poly, text) == _outcome(reference_parse_poly, text)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, column",
+    [
+        (parse_sq, "Sq0", "Sq0 is not allowed; write 1 for the identity", 0),
+        (parse_sq, "Sq2 Sq1 Sq0 Sq4", "Sq0 is not allowed; write 1 for the identity", 8),
+        (parse_sq, "Sq2 + Sq00", "Sq0 is not allowed; write 1 for the identity", 6),
+        (parse_sq, "1Sq2", "expected '+' or end of expression", 1),
+        (parse_sq, "Sq2 +", "expected a term: '1' or a sequence of SqN factors", 5),
+        (parse_sq, "Sq2 +  ", "expected a term: '1' or a sequence of SqN factors", 7),
+        (parse_sq, "Sq2 Sq", "expected '+' or end of expression", 4),
+        (parse_sq, "Sq\u0660", "Sq0 is not allowed; write 1 for the identity", 0),
+        (parse_poly, "t0", "variables are numbered from t1", 0),
+        (parse_poly, "t1*t2^3 * t0^2", "variables are numbered from t1", 10),
+        (parse_poly, "t1^", "expected an exponent after '^'", 3),
+        (parse_poly, "t1 ^ ", "expected an exponent after '^'", 5),
+        (parse_poly, "t1*", "expected a factor like t1 or t2^3", 3),
+        (parse_poly, "t1 * + t2", "expected a factor like t1 or t2^3", 5),
+        (parse_poly, "t1^2^3", "expected '+' or end of polynomial", 4),
+        (parse_poly, "1*t1", "expected '+' or end of polynomial", 1),
+        (parse_poly, "t1 + x1", "expected a factor like t1 or t2^3", 5),
+    ],
+)
+def test_parse_error_messages_and_columns(parse, text, message, column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.message, err.value.position) == (message, column)
+
+
+def test_parsers_read_unicode_digits_as_int_does():
+    # \d and int() both take any decimal digit, e.g. Arabic-Indic ones.
+    assert parse_sq("Sq\u0663 Sq\u0661") == parse_sq("Sq3 Sq1")
+    assert parse_poly("t\u0662^\u0661\u0660") == parse_poly("t2^10")
+
+
+def test_an_error_earlier_in_a_term_wins_over_a_number_too_long_for_int():
+    # int() refuses more than sys.get_int_max_str_digits() digits; the
+    # factors of a term are still checked in text order.
+    long = "1" * 5000
+    for parse, reference, text in [
+        (parse_sq, reference_parse_sq, f"Sq0 Sq{long}"),
+        (parse_sq, reference_parse_sq, f"Sq{long} Sq0"),
+        (parse_poly, reference_parse_poly, f"t0^{long}"),
+        (parse_poly, reference_parse_poly, f"t1^{long}*t0"),
+        (parse_poly, reference_parse_poly, f"t{long}*"),
+    ]:
+        assert _outcome(parse, text) == _outcome(reference, text)
