@@ -4,6 +4,13 @@ Results go to stdout, diagnostics to stderr.  Every subcommand takes
 ``--json`` for machine-readable output; JSON payloads are emitted with
 sorted keys so identical inputs give byte-identical output.
 
+Each ``_cmd_*`` function prints nothing: it returns its exit code, its
+text lines and a zero-argument builder of its JSON payload.  ``main``
+is the one place that writes to stdout.  It calls the builder only
+under ``--json`` and walks the text lines only without it, so text
+mode builds no payload; ``derive-adem`` yields its lines from a
+generator, so JSON mode formats none of them.
+
 Exit codes: 0 success, 1 a verification report contains failures,
 2 parse or usage error, 3 rewrite step budget exceeded, 4 memory or
 recursion depth exhausted.
@@ -16,7 +23,7 @@ import json
 import os
 import re
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .adem import (
     DEFAULT_STEP_BUDGET,
@@ -38,16 +45,11 @@ EXIT_BUDGET = 3
 EXIT_RESOURCE = 4
 
 #: Largest --degree of basis, faithful and derive-adem, and --max-degree of verify
-#: (derive-adem 112: about 6 s).
+#: (derive-adem 112: about 4 s with --json).
 MAX_DEGREE = 112
 
-
-def _emit(payload: dict, text_lines: Iterable[str], as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+#: What a subcommand returns: exit code, text lines, JSON payload builder.
+Result = tuple[int, Iterable[str], Callable[[], dict]]
 
 
 def resolve_module(name_or_path: str) -> GradedModule:
@@ -61,46 +63,39 @@ def resolve_module(name_or_path: str) -> GradedModule:
 # Subcommands
 
 
-def _cmd_normalize(args: argparse.Namespace) -> int:
-    element = parse_sq(args.expr)
-    result = normalize(element, step_budget=args.step_budget)
-    payload = {
+def _cmd_normalize(args: argparse.Namespace) -> Result:
+    result = normalize(parse_sq(args.expr), step_budget=args.step_budget)
+    return EXIT_OK, [str(result)], lambda: {
         "input": args.expr,
         "normal_form": str(result),
         "words": [list(w) for w in result.sorted_words()],
         "admissible": result.is_admissible(),
     }
-    _emit(payload, [str(result)], args.json)
-    return EXIT_OK
 
 
-def _cmd_basis(args: argparse.Namespace) -> int:
+def _cmd_basis(args: argparse.Namespace) -> Result:
     words = admissible_basis(args.degree)
     printed = [str(AdemElement(frozenset({w}))) for w in words]
-    payload = {
+    return EXIT_OK, printed, lambda: {
         "degree": args.degree,
         "count": len(words),
         "words": [list(w) for w in words],
         "printed": printed,
     }
-    _emit(payload, printed, args.json)
-    return EXIT_OK
 
 
-def _cmd_act(args: argparse.Namespace) -> int:
+def _cmd_act(args: argparse.Namespace) -> Result:
     operation = parse_sq(args.op)
     target = parse_poly(args.on)
     if args.vars is not None:
         too_big = sorted(v for v in target.variables() if v > args.vars)
         if too_big:
             raise ValueError(f"polynomial uses t{too_big[0]} but --vars is {args.vars}")
-    result = act(operation, target)
-    payload = {"operation": args.op, "argument": args.on, "result": str(result)}
-    _emit(payload, [str(result)], args.json)
-    return EXIT_OK
+    result = str(act(operation, target))
+    return EXIT_OK, [result], lambda: {"operation": args.op, "argument": args.on, "result": result}
 
 
-def _cmd_total_square(args: argparse.Namespace) -> int:
+def _cmd_total_square(args: argparse.Namespace) -> Result:
     target = parse_poly(args.on)
     fresh = max(target.variables(), default=0) + 1
     if args.var is None:
@@ -113,22 +108,14 @@ def _cmd_total_square(args: argparse.Namespace) -> int:
         var = fresh  # a symbolic name like 'u' stands for the next unused index
     else:
         raise ValueError(f"--var must be a name or an index like t4 (got {args.var!r})")
-    result = total_square(target, var)
-    payload = {"argument": args.on, "variable": f"t{var}", "result": str(result)}
-    _emit(payload, [str(result)], args.json)
-    return EXIT_OK
+    result = str(total_square(target, var))
+    return EXIT_OK, [result], lambda: {"argument": args.on, "variable": f"t{var}", "result": result}
 
 
-def _cmd_derive_adem(args: argparse.Namespace) -> int:
+def _cmd_derive_adem(args: argparse.Namespace) -> Result:
     m = args.degree
     certificates = certify_relations(m)
     all_zero = all(cert.normalizes_to_zero for cert in certificates)
-    payload = {
-        "degree": m,
-        "relation_count": len(certificates),
-        "relations": [cert.as_dict() for cert in certificates],
-        "all_normalize_to_zero": all_zero,
-    }
 
     def lines() -> Iterator[str]:  # formatted only when printed
         for cert in certificates:
@@ -142,42 +129,43 @@ def _cmd_derive_adem(args: argparse.Namespace) -> int:
             + ("all normalize to 0" if all_zero else "some hold only in source degree %d" % m)
         )
 
-    _emit(payload, lines(), args.json)
-    return EXIT_OK if all_zero else EXIT_VERIFY_FAILED
+    return EXIT_OK if all_zero else EXIT_VERIFY_FAILED, lines(), lambda: {
+        "degree": m,
+        "relation_count": len(certificates),
+        "relations": [cert.as_dict() for cert in certificates],
+        "all_normalize_to_zero": all_zero,
+    }
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    module = resolve_module(args.module)
-    report = verify_axioms(module, args.max_degree)
-    payload = report.as_dict()
-    lines = []
-    for failure in report.failures:
-        lines.append(f"FAIL [{failure.axiom}] {failure.where}: {failure.detail}")
+def _cmd_verify(args: argparse.Namespace) -> Result:
+    report = verify_axioms(resolve_module(args.module), args.max_degree)
+    lines = [f"FAIL [{f.axiom}] {f.where}: {f.detail}" for f in report.failures]
     lines.append(
         f"{report.module_name}: {report.checks} checks up to degree {report.max_degree}, "
         + ("all passed" if report.ok else f"{len(report.failures)} failure(s)")
     )
-    _emit(payload, lines, args.json)
-    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
+    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED, lines, report.as_dict
 
 
-def _cmd_faithful(args: argparse.Namespace) -> int:
+def _cmd_faithful(args: argparse.Namespace) -> Result:
     d = args.degree
     rank = faithful_rank(d)
     basis_size = len(admissible_basis(d))
     match = rank == basis_size
-    payload = {"degree": d, "rank": rank, "basis_size": basis_size, "match": match}
-    lines = [
+    line = (
         f"degree {d}: action rank {rank}, admissible basis size {basis_size} "
         + ("(faithful)" if match else "(MISMATCH)")
-    ]
-    _emit(payload, lines, args.json)
-    return EXIT_OK if match else EXIT_VERIFY_FAILED
+    )
+    return EXIT_OK if match else EXIT_VERIFY_FAILED, [line], lambda: {
+        "degree": d,
+        "rank": rank,
+        "basis_size": basis_size,
+        "match": match,
+    }
 
 
-def _cmd_distinguish(args: argparse.Namespace) -> int:
+def _cmd_distinguish(args: argparse.Namespace) -> Result:
     report = distinguish_pi4()
-    payload = report.as_dict()
     lines = [
         f"Sq^2 matrix on H^3({report.suspension_name}): {[list(r) for r in report.suspension_matrix]} "
         f"(rank {report.suspension_rank})",
@@ -185,8 +173,7 @@ def _cmd_distinguish(args: argparse.Namespace) -> int:
         f"(rank {report.wedge_rank})",
         *report.conclusion,
     ]
-    _emit(payload, lines, args.json)
-    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
+    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED, lines, report.as_dict
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -251,7 +238,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "degree", getattr(args, "max_degree", 0)) > MAX_DEGREE:
             raise ValueError(f"degree must be at most {MAX_DEGREE}")
-        return args.func(args)
+        code, lines, payload = args.func(args)
+        if args.json:
+            print(json.dumps(payload(), sort_keys=True, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except StepBudgetExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BUDGET

@@ -335,9 +335,9 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
 
     The action is read from one square table built here: each
     generator's nonzero Sq^i with 1 <= i <= its degree, exactly what
-    :meth:`GradedModule.sq_gen` returns.  The checks visit only those
-    entries, so their cost grows with the nonzero squares, not with
-    the square of the degree.
+    :meth:`GradedModule.sq_gen` returns.  The Adem pass visits every
+    inadmissible pair (n, k) with n + k <= max_degree for each
+    generator, so its cost grows with (max degree)² per generator.
     """
     import random  # only here, so that importing the package does not load it
 

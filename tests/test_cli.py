@@ -1,5 +1,7 @@
 """Command-line interface: dispatch, exit codes, JSON stability."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,9 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from steenrod import cli, modfile
+from steenrod import clear_caches, cli, modfile
 from steenrod.cli import main, resolve_module
+from steenrod.derive import RelationCertificate
 from steenrod.modules import GradedModule, real_proj
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -140,6 +145,17 @@ def test_derive_adem_degree_twelve_certifies_every_relation(capsys):
     doc = json.loads(out)
     assert doc["relation_count"] == 186
     assert all(rel["vanishes_on_degree_m_classes"] for rel in doc["relations"])
+
+
+def test_text_mode_never_builds_the_json_payload(capsys, monkeypatch):
+    expected = run(capsys, "derive-adem", "--degree", "4")
+    assert expected[0] == 1 and expected[2] == ""
+
+    def unwanted(self):
+        raise AssertionError("text mode built the JSON payload")
+
+    monkeypatch.setattr(RelationCertificate, "as_dict", unwanted)
+    assert run(capsys, "derive-adem", "--degree", "4") == expected
 
 
 def test_verify_builtin(capsys):
@@ -324,3 +340,62 @@ def test_cli_import_does_not_load_dataclasses_or_inspect():
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# Apt values and junk of each kind; degrees stay small, so that no call takes seconds.
+_INTS = ["-1", "0", "1", "3", "7", "\u0663", "12345678901234567890"]
+_WORDS = ["1", "Sq1", "Sq2 Sq2", "Sq3 Sq5", "Sq1 Sq2 + Sq4 Sq4", "Sq0", ""]
+_POLYS = ["t1", "t1*t2", "t1^2 + t2", "t3^5*t1", "t1^", ""]
+_MODULES = ["s2", "rp3", "cp2", "susp(rp2)", "wedge(s1,s2)", "/", "nope.json", ""]
+# Each subcommand's options with the values of their kind; None is normalize's expression.
+_OPTIONS = {
+    "normalize": {None: _WORDS, "--step-budget": ["-1", "0", "1", "12345678901234567890"]},
+    "basis": {"--degree": _INTS},
+    "act": {"--op": _WORDS, "--on": _POLYS, "--vars": _INTS},
+    "total-square": {"--on": _POLYS, "--var": ["t4", "u", "5", "t0", "#"]},
+    "derive-adem": {"--degree": _INTS},
+    "verify": {"--module": _MODULES, "--max-degree": _INTS},
+    "faithful": {"--degree": _INTS},
+    "distinguish-pi4": {},
+}
+_OPTION_NAMES = {option for options in _OPTIONS.values() for option in options if option}
+_TOKENS = st.sampled_from(
+    sorted({*_OPTIONS, *_OPTION_NAMES, "--json", "--help", *_INTS, *_WORDS, *_POLYS, *_MODULES})
+)
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    """A subcommand with most of its options, a few of them given junk or joined by a stray token."""
+
+    def rarely() -> bool:  # hypothesis favours 0, so the well-formed choice is the common one
+        return draw(st.integers(0, 4)) == 4
+
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    for option, values in _OPTIONS[command].items():
+        if not rarely():
+            argv += [option] if option else []
+            argv.append(draw(_TOKENS if rarely() else st.sampled_from(values)))
+    if draw(st.booleans()):
+        argv.append("--json")
+    if rarely():
+        argv.insert(draw(st.integers(0, len(argv))), draw(_TOKENS))
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(_argvs(), st.lists(_TOKENS, max_size=8)))
+def test_every_argv_gives_a_documented_exit_code(argv):
+    clear_caches()  # so that a small --step-budget is spent, not served from the cache
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3, 4), argv
+    if code in (cli.EXIT_OK, cli.EXIT_VERIFY_FAILED):
+        assert err == "", argv
+    if code in (cli.EXIT_BUDGET, cli.EXIT_RESOURCE):
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), argv
+    if code == cli.EXIT_USAGE:
+        assert out == "", argv
