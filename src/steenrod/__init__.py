@@ -6,63 +6,63 @@ cohomology models via the Cartan formula, re-derives the relations by
 identifying coefficients of double total squares, and runs the Sq^2
 computation that distinguishes the suspension of CP^2 from S^5 v S^3,
 showing pi_4(S^3) is nonzero.
+
+Each public name is listed once, in ``_NAMES`` under the layer that
+defines it, and that layer is imported when the name is first looked up
+(PEP 562), so ``import steenrod`` itself loads no layer.
 """
 
-from . import adem as _adem, poly as _poly
-from .adem import (
-    AdemElement,
-    Sq,
-    StepBudgetExceeded,
-    Word,
-    adem_rewrite,
-    admissible_basis,
-    degree,
-    excess,
-    is_admissible,
-    normalize,
-    product,
-)
-from .derive import (
-    RelationCertificate,
-    certify_relations,
-    derive_adem_relations,
-    vanishes_on_degree,
-)
-from .f2 import adem_coeff, binom_mod2
-from .modules import (
-    GradedModule,
-    ModuleElement,
-    Pi4Report,
-    VerifyReport,
-    act_on_module,
-    builtin_catalog,
-    complex_proj,
-    cup_elements,
-    distinguish_pi4,
-    full_verification_catalog,
-    point,
-    real_proj,
-    sphere,
-    sq_matrix,
-    suspend,
-    verify_axioms,
-    wedge,
-)
-from .parsing import ParseError, parse_module, parse_poly, parse_sq
-from .poly import (
-    Monomial,
-    PolyElement,
-    act,
-    coefficient,
-    cup,
-    faithful_rank,
-    make_monomial,
-    sq,
-    total_square,
-    variable,
-)
-
 __version__ = "0.1.0"
+
+#: Layer -> the public names it defines.
+_NAMES = {
+    "adem": """AdemElement Sq StepBudgetExceeded Word adem_rewrite admissible_basis degree
+        excess is_admissible normalize product""",
+    "derive": "RelationCertificate certify_relations derive_adem_relations vanishes_on_degree",
+    "f2": "adem_coeff binom_mod2",
+    "modules": """GradedModule ModuleElement Pi4Report VerifyReport act_on_module builtin_catalog
+        complex_proj cup_elements distinguish_pi4 full_verification_catalog point real_proj
+        sphere sq_matrix suspend verify_axioms wedge""",
+    "parsing": "ParseError parse_module parse_poly parse_sq",
+    "poly": "Monomial PolyElement act coefficient cup faithful_rank make_monomial sq total_square variable",
+}
+_HOME = {name: layer for layer, names in _NAMES.items() for name in names.split()}
+
+#: The five caches of cache_info, by layer and attribute: a dict, then lru_caches.
+_CACHES = {
+    "nf_cache": ("adem", "_NF_CACHE"),
+    "adem_rewrite": ("adem", "adem_rewrite"),
+    "sq_monomial": ("poly", "_sq_monomial"),
+    "act_monomial": ("poly", "_act_monomial"),
+    "sq_orbit": ("poly", "_sq_orbit"),
+}
+
+__all__ = sorted([*_HOME, "cache_info", "clear_caches"])
+
+
+def _layer(layer: str):
+    from importlib import import_module  # here, so that importing steenrod.cli does not load it
+
+    return import_module(f"{__name__}.{layer}")
+
+
+def __getattr__(name: str):
+    """A public name or a layer, imported on first use and kept in the package namespace."""
+    layer = _HOME.get(name, name)
+    if layer not in _NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _layer(layer)
+    value = globals()[name] = module if name == layer else getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_NAMES})
+
+
+def _caches():
+    for key, (layer, attr) in _CACHES.items():
+        yield key, getattr(_layer(layer), attr)
 
 
 def cache_info() -> dict[str, int]:
@@ -75,73 +75,10 @@ def cache_info() -> dict[str, int]:
     holds it on orbit sums of symmetric classes (``faithful_rank``,
     ``vanishes_on_degree``).  All five grow without bound.
     """
-    return {
-        "nf_cache": len(_adem._NF_CACHE),
-        "adem_rewrite": _adem.adem_rewrite.cache_info().currsize,
-        "sq_monomial": _poly._sq_monomial.cache_info().currsize,
-        "act_monomial": _poly._act_monomial.cache_info().currsize,
-        "sq_orbit": _poly._sq_orbit.cache_info().currsize,
-    }
+    return {key: len(c) if isinstance(c, dict) else c.cache_info().currsize for key, c in _caches()}
 
 
 def clear_caches() -> None:
     """Empty the five caches of :func:`cache_info`; results do not change."""
-    _adem._NF_CACHE.clear()
-    _adem.adem_rewrite.cache_clear()
-    _poly._sq_monomial.cache_clear()
-    _poly._act_monomial.cache_clear()
-    _poly._sq_orbit.cache_clear()
-
-
-__all__ = [
-    "AdemElement",
-    "GradedModule",
-    "ModuleElement",
-    "Monomial",
-    "ParseError",
-    "Pi4Report",
-    "PolyElement",
-    "RelationCertificate",
-    "Sq",
-    "StepBudgetExceeded",
-    "VerifyReport",
-    "Word",
-    "act",
-    "act_on_module",
-    "adem_coeff",
-    "adem_rewrite",
-    "admissible_basis",
-    "binom_mod2",
-    "builtin_catalog",
-    "cache_info",
-    "certify_relations",
-    "clear_caches",
-    "coefficient",
-    "complex_proj",
-    "cup",
-    "cup_elements",
-    "degree",
-    "derive_adem_relations",
-    "distinguish_pi4",
-    "excess",
-    "faithful_rank",
-    "full_verification_catalog",
-    "is_admissible",
-    "make_monomial",
-    "normalize",
-    "parse_module",
-    "parse_poly",
-    "parse_sq",
-    "point",
-    "product",
-    "real_proj",
-    "sphere",
-    "sq",
-    "sq_matrix",
-    "suspend",
-    "total_square",
-    "vanishes_on_degree",
-    "variable",
-    "verify_axioms",
-    "wedge",
-]
+    for _, cache in _caches():
+        (cache.clear if isinstance(cache, dict) else cache.cache_clear)()

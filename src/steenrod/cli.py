@@ -11,6 +11,10 @@ under ``--json`` and walks the text lines only without it, so text
 mode builds no payload; ``derive-adem`` yields its lines from a
 generator, so JSON mode formats none of them.
 
+Each subcommand imports the layers it calls when it runs, so start-up
+loads only ``adem`` and ``f2`` (``GradedModule`` in the annotations is
+``steenrod.modules.GradedModule``).
+
 Exit codes: 0 success, 1 a verification report contains failures,
 2 parse or usage error, 3 rewrite step budget exceeded, 4 memory or
 recursion depth exhausted.
@@ -25,18 +29,7 @@ import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
 
-from .adem import (
-    DEFAULT_STEP_BUDGET,
-    AdemElement,
-    StepBudgetExceeded,
-    admissible_basis,
-    normalize,
-)
-from .derive import certify_relations
-from .modules import GradedModule, distinguish_pi4, verify_axioms
-from .poly import act, faithful_rank, total_square
-from .parsing import parse_module, parse_poly, parse_sq
-from . import modfile
+from .adem import DEFAULT_STEP_BUDGET, StepBudgetExceeded
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -55,7 +48,11 @@ Result = tuple[int, Iterable[str], Callable[[], dict]]
 def resolve_module(name_or_path: str) -> GradedModule:
     """A module from a builtin constructor expression or a definition file."""
     if name_or_path.endswith(".json") or os.path.exists(name_or_path):
-        return modfile.load(name_or_path)
+        from .modfile import load
+
+        return load(name_or_path)
+    from .parsing import parse_module
+
     return parse_module(name_or_path)
 
 
@@ -64,6 +61,9 @@ def resolve_module(name_or_path: str) -> GradedModule:
 
 
 def _cmd_normalize(args: argparse.Namespace) -> Result:
+    from .adem import normalize
+    from .parsing import parse_sq
+
     result = normalize(parse_sq(args.expr), step_budget=args.step_budget)
     return EXIT_OK, [str(result)], lambda: {
         "input": args.expr,
@@ -74,6 +74,8 @@ def _cmd_normalize(args: argparse.Namespace) -> Result:
 
 
 def _cmd_basis(args: argparse.Namespace) -> Result:
+    from .adem import AdemElement, admissible_basis
+
     words = admissible_basis(args.degree)
     printed = [str(AdemElement(frozenset({w}))) for w in words]
     return EXIT_OK, printed, lambda: {
@@ -85,6 +87,9 @@ def _cmd_basis(args: argparse.Namespace) -> Result:
 
 
 def _cmd_act(args: argparse.Namespace) -> Result:
+    from .parsing import parse_poly, parse_sq
+    from .poly import act
+
     operation = parse_sq(args.op)
     target = parse_poly(args.on)
     if args.vars is not None:
@@ -96,6 +101,9 @@ def _cmd_act(args: argparse.Namespace) -> Result:
 
 
 def _cmd_total_square(args: argparse.Namespace) -> Result:
+    from .parsing import parse_poly
+    from .poly import total_square
+
     target = parse_poly(args.on)
     fresh = max(target.variables(), default=0) + 1
     if args.var is None:
@@ -113,6 +121,8 @@ def _cmd_total_square(args: argparse.Namespace) -> Result:
 
 
 def _cmd_derive_adem(args: argparse.Namespace) -> Result:
+    from .derive import certify_relations
+
     m = args.degree
     certificates = certify_relations(m)
     all_zero = all(cert.normalizes_to_zero for cert in certificates)
@@ -138,6 +148,10 @@ def _cmd_derive_adem(args: argparse.Namespace) -> Result:
 
 
 def _cmd_verify(args: argparse.Namespace) -> Result:
+    from .modules import verify_axioms
+
+    if args.max_degree < 0:  # verify_axioms checks nothing below degree 0
+        raise ValueError("degree must be a natural number")
     report = verify_axioms(resolve_module(args.module), args.max_degree)
     lines = [f"FAIL [{f.axiom}] {f.where}: {f.detail}" for f in report.failures]
     lines.append(
@@ -148,6 +162,9 @@ def _cmd_verify(args: argparse.Namespace) -> Result:
 
 
 def _cmd_faithful(args: argparse.Namespace) -> Result:
+    from .adem import admissible_basis
+    from .poly import faithful_rank
+
     d = args.degree
     rank = faithful_rank(d)
     basis_size = len(admissible_basis(d))
@@ -165,6 +182,8 @@ def _cmd_faithful(args: argparse.Namespace) -> Result:
 
 
 def _cmd_distinguish(args: argparse.Namespace) -> Result:
+    from .modules import distinguish_pi4
+
     report = distinguish_pi4()
     lines = [
         f"Sq^2 matrix on H^3({report.suspension_name}): {[list(r) for r in report.suspension_matrix]} "

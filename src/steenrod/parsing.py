@@ -23,7 +23,9 @@ offending position.
 
 Each Sq or polynomial term is read with one regular-expression match
 and one ``findall``; a term is re-read factor by factor only to report
-an error at the column a token-by-token scan would give.
+an error at the column a token-by-token scan would give.  The module
+layer is imported only when a module expression is parsed
+(``GradedModule`` in the annotations is ``steenrod.modules.GradedModule``).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from collections.abc import Callable
 
 from .adem import AdemElement, Word
 from .f2 import F2Sum
-from .modules import GradedModule, complex_proj, real_proj, sphere, suspend, wedge
 from .poly import Monomial, PolyElement, make_monomial
 
 
@@ -55,7 +56,6 @@ _SQ_TERM_RE = re.compile(r"\s*(?:1|(Sq\d+(?:\s*Sq\d+)*))\s*")
 _MONO_RE = re.compile(r"\s*(?:1|(t\d+(?:\s*\^\s*\d+)?(?:\s*\*\s*t\d+(?:\s*\^\s*\d+)?)*)(?:\s*([*^]))?)\s*")
 _FACTOR_MISSING = "expected a factor like t1 or t2^3"
 _SPACE_RE = re.compile(r"(rp|cp|s)(\d+)")
-_SPACES = {"s": sphere, "rp": real_proj, "cp": complex_proj}
 
 #: Deepest wedge/susp nesting parse_module accepts; the parser recurses
 #: once per level, so this keeps it far from the interpreter's limit.
@@ -178,6 +178,8 @@ def parse_module(text: str) -> GradedModule:
 
 def _parse_module_expr(scanner: _Scanner, depth: int, built: int) -> tuple[GradedModule, int]:
     """The module an expression names, and ``built`` plus the table entries built for it."""
+    from .modules import complex_proj, real_proj, sphere, suspend, wedge
+
     if depth > _MAX_MODULE_NESTING:
         raise scanner.error(f"module expression nested deeper than {_MAX_MODULE_NESTING} levels")
     scanner.skip_ws()
@@ -203,7 +205,7 @@ def _parse_module_expr(scanner: _Scanner, depth: int, built: int) -> tuple[Grade
             n = int(m.group(2))
             if n > _MAX_MODULE_DIMENSION:
                 raise ValueError(f"dimension must be at most {_MAX_MODULE_DIMENSION}")
-            module = _SPACES[m.group(1)](n)
+            module = {"s": sphere, "rp": real_proj, "cp": complex_proj}[m.group(1)](n)
         except ValueError as err:
             raise ParseError(str(err), start) from None
     built += len(module.generators) + len(module.sq) + len(module.products)

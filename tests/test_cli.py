@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steenrod import clear_caches, cli, modfile
+from steenrod import clear_caches, cli, derive, modfile
 from steenrod.cli import main, resolve_module
 from steenrod.derive import RelationCertificate
 from steenrod.modules import GradedModule, real_proj
@@ -221,7 +221,7 @@ def test_exhausted_resources_exit_code(capsys, monkeypatch, error):
     def exhausted(*args, **kwargs):
         raise error()
 
-    monkeypatch.setattr(cli, "certify_relations", exhausted)
+    monkeypatch.setattr(derive, "certify_relations", exhausted)
     code, out, err = run(capsys, "derive-adem", "--degree", "3", "--json")
     assert code == 4 == cli.EXIT_RESOURCE
     assert out == ""
@@ -287,6 +287,13 @@ def test_verify_max_degree_above_the_bound_is_refused(capsys):
     assert err == "error: degree must be at most 112\n"
 
 
+def test_verify_negative_max_degree_is_refused(capsys):
+    code, out, err = run(capsys, "verify", "--module", "s3", "--max-degree", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: degree must be a natural number\n"
+
+
 def test_distinguish_pi4(capsys):
     code, out, _ = run(capsys, "distinguish-pi4")
     assert code == 0
@@ -335,18 +342,28 @@ def test_verify_rejects_a_module_expression_above_the_entry_bound(capsys):
 
 
 def test_cli_import_does_not_load_dataclasses_or_inspect():
+    # Start-up loads only the rewriting layer, and a subcommand only the layers it calls.
     unused = "{'dataclasses', 'inspect', 'pathlib', 'random', 'typing'}"
-    probe = f"import sys, steenrod.cli; print(sorted({unused} & set(sys.modules)))"
+    probe = f"""
+import sys, steenrod.cli
+ours = lambda: sorted(m for m in sys.modules if m.startswith("steenrod"))
+print(sorted({unused} & set(sys.modules)), ours())
+steenrod.cli.main(["basis", "--degree", "3"])
+print(ours())
+"""
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    start_up = "['steenrod', 'steenrod.adem', 'steenrod.cli', 'steenrod.f2']"
+    assert out.stdout.splitlines() == [f"[] {start_up}", "Sq3", "Sq2 Sq1", start_up]
 
 
 # Apt values and junk of each kind; degrees stay small, so that no call takes seconds.
 _INTS = ["-1", "0", "1", "3", "7", "\u0663", "12345678901234567890"]
 _WORDS = ["1", "Sq1", "Sq2 Sq2", "Sq3 Sq5", "Sq1 Sq2 + Sq4 Sq4", "Sq0", ""]
 _POLYS = ["t1", "t1*t2", "t1^2 + t2", "t3^5*t1", "t1^", ""]
-_MODULES = ["s2", "rp3", "cp2", "susp(rp2)", "wedge(s1,s2)", "/", "nope.json", ""]
+# Module files, written once by the module_files fixture, and the exit code of verifying each.
+_FILES = {"valid.json": 0, "truncated.json": 2, "types.json": 2, "repeated.json": 2, "deep.json": 4}
+_MODULES = ["s2", "rp3", "cp2", "susp(rp2)", "wedge(s1,s2)", "/", "nope.json", "", *_FILES]
 # Each subcommand's options with the values of their kind; None is normalize's expression.
 _OPTIONS = {
     "normalize": {None: _WORDS, "--step-budget": ["-1", "0", "1", "12345678901234567890"]},
@@ -362,6 +379,32 @@ _OPTION_NAMES = {option for options in _OPTIONS.values() for option in options i
 _TOKENS = st.sampled_from(
     sorted({*_OPTIONS, *_OPTION_NAMES, "--json", "--help", *_INTS, *_WORDS, *_POLYS, *_MODULES})
 )
+
+
+@pytest.fixture(scope="module")
+def module_files(tmp_path_factory) -> Path:
+    folder = tmp_path_factory.mktemp("modules")
+    valid = modfile.dumps(real_proj(3))
+    depth = 200_000  # far past the interpreter's recursion limit
+    texts = {
+        "valid.json": valid,
+        "truncated.json": valid[: len(valid) // 2],
+        "types.json": valid.replace('"top_degree": 3', '"top_degree": "3"'),
+        "repeated.json": valid.replace('"name": "rp3"', '"name": "rp3", "name": "rp2"'),
+        "deep.json": "[" * depth + "]" * depth,
+    }
+    for name, text in texts.items():
+        (folder / name).write_text(text, encoding="utf-8")
+    return folder
+
+
+@pytest.mark.parametrize("name", sorted(_FILES))
+def test_verify_module_file_exit_codes(capsys, module_files, name):
+    code, out, err = run(capsys, "verify", "--module", str(module_files / name), "--max-degree", "3")
+    assert code == _FILES[name]
+    assert (out == "") == (code != 0) and (err == "") == (code == 0)
+    if name == "deep.json":
+        assert err == "error: resources exhausted (RecursionError)\n"
 
 
 @st.composite
@@ -386,7 +429,8 @@ def _argvs(draw) -> list[str]:
 
 @settings(max_examples=1000, deadline=None)
 @given(st.one_of(_argvs(), st.lists(_TOKENS, max_size=8)))
-def test_every_argv_gives_a_documented_exit_code(argv):
+def test_every_argv_gives_a_documented_exit_code(module_files, argv):
+    argv = [str(module_files / token) if token in _FILES else token for token in argv]
     clear_caches()  # so that a small --step-budget is spent, not served from the cache
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
