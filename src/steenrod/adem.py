@@ -106,19 +106,16 @@ class AdemElement(F2Sum):
     def is_admissible(self) -> bool:
         return all(is_admissible(w) for w in self.words)
 
-    def sorted_words(self) -> list[Word]:
-        return sorted(self.words, key=word_key)
+    _term_key = staticmethod(word_key)
+
+    @staticmethod
+    def _term_text(word: Word) -> str:
+        return " ".join(f"Sq{i}" for i in word) or "1"
+
+    sorted_words = F2Sum.sorted_terms
 
     def __mul__(self, other: "AdemElement") -> "AdemElement":
         return product(self, other)
-
-    def __str__(self) -> str:
-        if not self.words:
-            return "0"
-        parts = []
-        for word in self.sorted_words():
-            parts.append("1" if not word else " ".join(f"Sq{i}" for i in word))
-        return " + ".join(parts)
 
 
 _ZERO = AdemElement(frozenset())

@@ -64,6 +64,8 @@ def _cmd_normalize(args: argparse.Namespace) -> Result:
     from .adem import normalize
     from .parsing import parse_sq
 
+    if args.step_budget < 0:  # normalize would refuse only inputs that need a rewrite
+        raise ValueError("step budget must be a natural number")
     result = normalize(parse_sq(args.expr), step_budget=args.step_budget)
     return EXIT_OK, [str(result)], lambda: {
         "input": args.expr,

@@ -55,7 +55,7 @@ def derive_adem_relations(m: int) -> list[AdemElement]:
     homogeneous sum of words of length at most 2.
     """
     if m < 0:
-        raise ValueError("symbol degree must be a natural number")
+        raise ValueError("degree must be a natural number")
     words_at: dict[tuple[int, int], set[Word]] = {}
     for i in range(m + 1):
         e = m - i

@@ -9,7 +9,9 @@ zero.  Every element class in this package (``AdemElement``,
 comparison once for all of them.  The report records
 (``AxiomFailure``, ``VerifyReport``, ``Pi4Report`` and
 ``RelationCertificate``) derive from :class:`Record`, which does their
-construction, comparison and ``repr`` once.  :func:`act_word` applies
+construction, comparison and ``repr`` once.  ``F2Sum`` also orders and
+prints every sum: its terms in each class's canonical order, joined by
+`` + ``, or ``0`` for zero.  :func:`act_word` applies
 a word of squares to a sum of terms for every action in the package.
 """
 
@@ -75,6 +77,8 @@ class F2Sum:
     live over a context (a module, a symbol degree) takes it as leading
     constructor arguments and returns those from ``_context``.  Sums are
     equal when type, context and terms are; modules compare by identity.
+    Each subclass orders its terms by ``_term_key`` and prints one term
+    with ``_term_text``.
     """
 
     __slots__ = ("terms",)
@@ -91,8 +95,18 @@ class F2Sum:
     def _context(self) -> tuple:
         return ()
 
+    def _term_key(self, term: Hashable) -> object:
+        raise NotImplementedError
+
+    def _term_text(self, term: Hashable) -> str:
+        raise NotImplementedError
+
     def is_zero(self) -> bool:
         return not self.terms
+
+    def sorted_terms(self) -> list:
+        """The terms in canonical order."""
+        return sorted(self.terms, key=self._term_key)
 
     def __add__(self, other: F2Sum) -> F2Sum:
         if type(other) is not type(self):
@@ -109,6 +123,11 @@ class F2Sum:
 
     def __hash__(self) -> int:
         return hash((self._context(), self.terms))
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        return " + ".join(map(self._term_text, self.sorted_terms()))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(map(repr, (*self._context(), self.terms)))})"

@@ -1,15 +1,25 @@
-"""Small GF(2) linear algebra helpers on int bitmask rows."""
+"""GF(2) rank of vectors given as sets of basis terms."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Hashable, Iterable
 
 
-def rank_f2(rows: Iterable[int]) -> int:
-    """Rank over GF(2) of a set of rows encoded as int bitmasks."""
+def rank_f2(rows: Iterable[Iterable[Hashable]]) -> int:
+    """Rank over GF(2) of vectors, each given as the set of basis terms it contains.
+
+    A row is any iterable of hashable terms, as an F2-sum stores them; a
+    term listed twice cancels.  Columns are numbered in first-seen
+    order, which the rank does not depend on, and each row is reduced
+    as an int bitmask by Gaussian elimination.
+    """
+    columns: dict[Hashable, int] = {}
     pivots: dict[int, int] = {}
     rank = 0
-    for row in rows:
+    for terms in rows:
+        row = 0
+        for term in terms:
+            row ^= 1 << columns.setdefault(term, len(columns))
         while row:
             lead = row.bit_length() - 1
             if lead in pivots:
@@ -19,15 +29,3 @@ def rank_f2(rows: Iterable[int]) -> int:
                 rank += 1
                 break
     return rank
-
-
-def matrix_rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank over GF(2) of a 0/1 matrix given as a list of rows."""
-    rows = []
-    for row in matrix:
-        mask = 0
-        for j, entry in enumerate(row):
-            if entry & 1:
-                mask |= 1 << j
-        rows.append(mask)
-    return rank_f2(rows)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .adem import AdemElement, adem_rewrite
 from .f2 import F2Sum, Record, act_word, binom_mod2, common_degree
-from .linalg import matrix_rank
+from .linalg import rank_f2
 
 SqTable = dict[tuple[str, int], frozenset[str]]
 ProductTable = dict[tuple[str, str], frozenset[str]]
@@ -124,10 +124,10 @@ class ModuleElement(F2Sum):
         """Common degree of the summands; None for zero, error if mixed."""
         return common_degree(map(self.module.degree_of, self.gens))
 
-    def __str__(self) -> str:
-        if not self.gens:
-            return "0"
-        return " + ".join(sorted(self.gens, key=lambda g: (self.module.degree_of(g), g)))
+    def _term_key(self, gid: str) -> tuple[int, str]:
+        return (self.module.degree_of(gid), gid)
+
+    _term_text = staticmethod(str)
 
 
 def _cup_sets(module: GradedModule, xs: frozenset[str], ys: frozenset[str]) -> frozenset[str]:
@@ -526,8 +526,10 @@ def distinguish_pi4() -> Pi4Report:
     wedge_53 = wedge(sphere(5), sphere(3))
     m_susp = sq_matrix(sigma_cp2, 2, 3)
     m_wedge = sq_matrix(wedge_53, 2, 3)
-    r_susp = matrix_rank(m_susp)
-    r_wedge = matrix_rank(m_wedge)
+    r_susp, r_wedge = (
+        rank_f2([{j for j, entry in enumerate(row) if entry} for row in matrix])
+        for matrix in (m_susp, m_wedge)
+    )
     distinct = r_susp == 1 and r_wedge == 0
     if distinct:
         conclusion = (

@@ -78,11 +78,6 @@ def monomial_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(merged.items()))
 
 
-def monomial_key(mono: Monomial) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Graded lexicographic order on exponent vectors."""
-    return (monomial_degree(mono), tuple((var, -exp) for var, exp in mono))
-
-
 class PolyElement(F2Sum):
     """A formal F2-sum of monomials in F2[t1..tk]."""
 
@@ -104,26 +99,19 @@ class PolyElement(F2Sum):
         """Common degree of all monomials; None for the zero element."""
         return common_degree(map(monomial_degree, self.monomials))
 
-    def sorted_monomials(self) -> list[Monomial]:
-        return sorted(self.monomials, key=monomial_key)
+    @staticmethod
+    def _term_key(mono: Monomial) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """Graded lexicographic order on exponent vectors."""
+        return (monomial_degree(mono), tuple((var, -exp) for var, exp in mono))
+
+    @staticmethod
+    def _term_text(mono: Monomial) -> str:
+        return "*".join(f"t{var}" if exp == 1 else f"t{var}^{exp}" for var, exp in mono) or "1"
+
+    sorted_monomials = F2Sum.sorted_terms
 
     def __mul__(self, other: "PolyElement") -> "PolyElement":
         return cup(self, other)
-
-    def __str__(self) -> str:
-        if not self.monomials:
-            return "0"
-        parts = []
-        for mono in self.sorted_monomials():
-            if not mono:
-                parts.append("1")
-            else:
-                parts.append(
-                    "*".join(
-                        f"t{var}" if exp == 1 else f"t{var}^{exp}" for var, exp in mono
-                    )
-                )
-        return " + ".join(parts)
 
 
 _P_ZERO = PolyElement(frozenset())
@@ -350,12 +338,4 @@ def faithful_rank(d: int) -> int:
     """
     if d < 0:
         raise ValueError("degree must be a natural number")
-    # Columns are numbered in first-seen order: the rank does not depend on it.
-    columns: dict[Orbit, int] = {}
-    rows = []
-    for word in admissible_basis(d):
-        mask = 0
-        for lam in act_on_squarefree((word,), d):
-            mask |= 1 << columns.setdefault(lam, len(columns))
-        rows.append(mask)
-    return rank_f2(rows)
+    return rank_f2([act_on_squarefree((w,), d) for w in admissible_basis(d)])

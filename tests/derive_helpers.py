@@ -12,7 +12,7 @@ was read off from.
 
 from __future__ import annotations
 
-from steenrod.adem import AdemElement, Word, degree
+from steenrod.adem import AdemElement, Word, degree, word_key
 from steenrod.derive import _relation_key
 from steenrod.f2 import F2Sum, common_degree
 from steenrod.poly import Monomial, PolyElement, monomial_degree, monomial_mul, total_square
@@ -38,6 +38,14 @@ class SymbolicClass(F2Sum):
 
     def _context(self) -> tuple:
         return (self.symbol_degree,)
+
+    def _term_key(self, term: SymTerm) -> tuple:
+        word, mono = term
+        return (word_key(word), PolyElement._term_key(mono))
+
+    def _term_text(self, term: SymTerm) -> str:
+        word, mono = term
+        return "".join(f"Sq{i} " for i in word) + "a" + ("*" + PolyElement._term_text(mono) if mono else "")
 
     def total_degree(self) -> int | None:
         return common_degree(
@@ -90,3 +98,17 @@ def reference_derive_adem_relations(m: int) -> list[AdemElement]:
 
     relations = {frozenset(words) for words in by_monomial.values() if words}
     return [AdemElement(words) for words in sorted(relations, key=_relation_key)]
+
+
+def two_square_words(m: int) -> dict[int, set[Word]]:
+    """The words Sq^j Sq^i of the expansion at source degree m, by operator degree.
+
+    These are the words that can occur in ``derive_adem_relations(m)``:
+    0 <= i <= m, 0 <= j <= m + i, with Sq^0 dropped, so Sq^n Sq^0 and
+    Sq^0 Sq^n are the one word Sq^n.
+    """
+    by_degree: dict[int, set[Word]] = {}
+    for i in range(m + 1):
+        for j in range(m + i + 1):
+            by_degree.setdefault(i + j, set()).add(tuple(r for r in (j, i) if r))
+    return by_degree

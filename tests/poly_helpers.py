@@ -67,15 +67,7 @@ def reference_faithful_rank(d: int) -> int:
     """
     if d < 0:
         raise ValueError("degree must be a natural number")
-    # Columns are numbered in first-seen order: the rank does not depend on it.
-    columns: dict[tuple[int, ...], int] = {}
-    rows = []
-    for word in admissible_basis(d):
-        mask = 0
-        for mono in _act_monomial(word, (1,) * d):
-            mask |= 1 << columns.setdefault(mono, len(columns))
-        rows.append(mask)
-    return rank_f2(rows)
+    return rank_f2([_act_monomial(word, (1,) * d) for word in admissible_basis(d)])
 
 
 def reference_vanishes_on_degree(element: AdemElement, m: int) -> bool:

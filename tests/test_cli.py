@@ -294,6 +294,36 @@ def test_verify_negative_max_degree_is_refused(capsys):
     assert err == "error: degree must be a natural number\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis", "--degree", "-1"],
+        ["faithful", "--degree", "-1"],
+        ["derive-adem", "--degree", "-1"],
+        ["verify", "--module", "s3", "--max-degree", "-1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_degree_gives_one_message(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: degree must be a natural number\n"
+
+
+@pytest.mark.parametrize("expr", ["Sq1", "Sq1 Sq1"])
+def test_negative_step_budget_is_refused(capsys, expr):
+    # without the check, Sq1 (no rewrite) printed Sq1 and Sq1 Sq1 exited 3
+    code, out, err = run(capsys, "normalize", expr, "--step-budget", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: step budget must be a natural number\n"
+
+
+def test_zero_step_budget_still_normalizes_admissible_input(capsys):
+    assert run(capsys, "normalize", "Sq2 Sq1", "--step-budget", "0") == (0, "Sq2 Sq1\n", "")
+
+
 def test_distinguish_pi4(capsys):
     code, out, _ = run(capsys, "distinguish-pi4")
     assert code == 0

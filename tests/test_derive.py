@@ -5,11 +5,19 @@ import time
 
 import pytest
 
-from steenrod.adem import Sq, admissible_basis, degree, excess, normalize
+from steenrod.adem import Sq, adem_rewrite, admissible_basis, degree, excess, normalize
 from steenrod.derive import certify_relations, derive_adem_relations, vanishes_on_degree
-from steenrod.poly import PolyElement, act, make_monomial
+from steenrod.linalg import rank_f2
+from steenrod.poly import PolyElement, act, act_on_squarefree, make_monomial
 
-from derive_helpers import SymbolicClass, U, V, reference_derive_adem_relations, total_square_symbolic
+from derive_helpers import (
+    SymbolicClass,
+    U,
+    V,
+    reference_derive_adem_relations,
+    total_square_symbolic,
+    two_square_words,
+)
 from poly_helpers import reference_vanishes_on_degree
 
 
@@ -168,10 +176,35 @@ def test_stable_relations_appear():
     assert frozenset({(1, 3)}) in rels3  # Sq1 Sq3 = 0 in every degree
 
 
+def test_derived_relations_span_every_adem_relation_up_to_degree_m():
+    # The "all" half of the derivation: each Adem relation Sq^a Sq^b + its
+    # expansion with a + b <= m is a sum of derived relations.
+    for m in range(13):
+        relations = [relation.words for relation in derive_adem_relations(m)]
+        rank = rank_f2(relations)
+        for b in range(1, m + 1):
+            for a in range(1, min(2 * b, m - b + 1)):
+                adem = frozenset({(a, b)}) ^ adem_rewrite(a, b)
+                assert rank_f2(relations + [adem]) == rank, (m, a, b)
+
+
+def test_derived_relations_span_the_kernel_of_the_action_on_degree_m():
+    # In each operator degree d, the relations among the words Sq^j Sq^i of
+    # the expansion, acting on t1...tm, form a space of dimension
+    # (word count) - (rank of their images); the derived relations of
+    # degree d, each of which vanishes there, have exactly that rank.
+    for m in range(13):
+        relations = derive_adem_relations(m)
+        for d, words in two_square_words(m).items():
+            derived = [relation.words for relation in relations if degree(next(iter(relation.words))) == d]
+            images = [act_on_squarefree((word,), m) for word in words]
+            assert rank_f2(derived) == len(words) - rank_f2(images), (m, d)
+
+
 def test_generic_rejects_negative_degree():
     with pytest.raises(ValueError):
         SymbolicClass.generic(-1)
-    with pytest.raises(ValueError, match="symbol degree must be a natural number"):
+    with pytest.raises(ValueError, match="^degree must be a natural number$"):
         derive_adem_relations(-1)
 
 

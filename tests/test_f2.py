@@ -157,6 +157,33 @@ def test_elements_are_immutable(element):
     assert not element.is_zero()
 
 
+def _printed():
+    rp10 = real_proj(10)
+    return [
+        (Sq(4) + Sq(2, 1) + Sq() + Sq(3), AdemElement.zero(), "1 + Sq3 + Sq2 Sq1 + Sq4"),
+        (parse_poly("t3^2 + t1*t2 + 1 + t1^2"), PolyElement.zero(), "1 + t1^2 + t1*t2 + t3^2"),
+        # degree first, then id: t10 sorts before t2 as a string
+        (rp10.element(["t10", "t2", "t1"]), rp10.element(frozenset()), "t1 + t2 + t10"),
+        (
+            SymbolicClass(1, frozenset({((1,), ((1, 1),)), ((), ((1, 2),))})),
+            SymbolicClass(1, frozenset()),
+            "a*t1^2 + Sq1 a*t1",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("element, zero, text", _printed(), ids=["AdemElement", "PolyElement", "ModuleElement", "SymbolicClass"])
+def test_elements_print_zero_and_their_terms_in_canonical_order(element, zero, text):
+    assert str(zero) == "0" and zero.sorted_terms() == []
+    assert str(element) == text
+
+
+def test_sorted_words_and_monomials_are_the_canonical_order():
+    assert AdemElement.sorted_words is F2Sum.sorted_terms is PolyElement.sorted_monomials
+    assert (Sq(2, 1) + Sq(3) + Sq()).sorted_words() == [(), (3,), (2, 1)]
+    assert parse_poly("t2 + t1^2 + t1*t2").sorted_monomials() == [((2, 1),), ((1, 2),), ((1, 1), (2, 1))]
+
+
 def test_equality_is_type_exact():
     assert AdemElement(frozenset()) != PolyElement(frozenset())
     assert AdemElement(frozenset({()})) != PolyElement(frozenset({()}))
