@@ -23,7 +23,9 @@ Word = tuple[int, ...]
 
 #: Rewrite steps allowed per normalize() call before giving up.  A
 #: rewrite of Sq^a Sq^b costs a // 2 + 1 steps, the length of the Adem
-#: sum it expands, whether or not that expansion is cached.  Adem
+#: sum it expands, whether or not that expansion is cached.  Each
+#: distinct word is rewritten at most once per call, and only the
+#: element's own words enter the shared normal-form cache.  Adem
 #: rewriting terminates, so the budget only turns a regression or a
 #: huge square into a reported error instead of a hang.
 DEFAULT_STEP_BUDGET = 10**6
@@ -143,48 +145,34 @@ class _Budget:
             )
 
 
-# Normal forms of single words, shared across calls.  Entries are only
-# written once a word is fully normalized, so the cache never holds
-# partial results and concurrent readers see consistent values.
+# Normal forms of single words, shared across calls.  Only the words of
+# the elements passed to normalize() are written, each once its normal
+# form is complete, so the cache never holds partial results and
+# concurrent readers see consistent values.  The intermediate words of a
+# call live in that call's memo and are dropped with it.
 _NF_CACHE: dict[Word, frozenset[Word]] = {}
 
 
-def _word_normal_form(word: Word, budget: _Budget) -> frozenset[Word]:
-    cached = _NF_CACHE.get(word)
-    if cached is not None:
-        return cached
+def _word_normal_form(word: Word, budget: _Budget, memo: dict[Word, frozenset[Word]]) -> frozenset[Word]:
+    """The normal form of one word, by definition.
 
-    admissible: set[Word] = set()
-    pending: set[Word] = set()
-
-    def fold(w: Word) -> None:
-        # Cancellation against a pending copy comes first, so the branch
-        # taken for a repeated word never depends on cache timing.
-        if w in pending:
-            pending.remove(w)
-            return
-        nf = _NF_CACHE.get(w)
-        if nf is not None:
-            admissible.symmetric_difference_update(nf)
-        elif is_admissible(w):
-            admissible.symmetric_difference_update((w,))
+    An admissible word is its own normal form; any other word's is the
+    F2-sum of the normal forms of the Adem rewrites of its first
+    inadmissible pair.
+    """
+    nf = _NF_CACHE.get(word, memo.get(word))
+    if nf is None:
+        j = _first_inadmissible(word)
+        if j is None:
+            nf = frozenset((word,))
         else:
-            pending.add(w)
-
-    fold(word)
-    while pending:
-        # Deterministic pick; any choice terminates, and cancellation in
-        # the working sum keeps it small.
-        w = max(pending)
-        pending.remove(w)
-        j = _first_inadmissible(w)
-        budget.spend(w[j] // 2 + 1)
-        for tail in adem_rewrite(w[j], w[j + 1]):
-            fold(w[:j] + tail + w[j + 2 :])
-
-    result = frozenset(admissible)
-    _NF_CACHE[word] = result
-    return result
+            budget.spend(word[j] // 2 + 1)
+            acc: set[Word] = set()
+            for tail in adem_rewrite(word[j], word[j + 1]):
+                acc ^= _word_normal_form(word[:j] + tail + word[j + 2 :], budget, memo)
+            nf = frozenset(acc)
+        memo[word] = nf
+    return nf
 
 
 def normalize(element: AdemElement, *, step_budget: int = DEFAULT_STEP_BUDGET) -> AdemElement:
@@ -195,9 +183,11 @@ def normalize(element: AdemElement, *, step_budget: int = DEFAULT_STEP_BUDGET) -
     Raises :class:`StepBudgetExceeded` when the budget runs out.
     """
     budget = _Budget(step_budget)
+    memo: dict[Word, frozenset[Word]] = {}
     acc: set[Word] = set()
     for word in element.words:
-        acc ^= _word_normal_form(word, budget)
+        _NF_CACHE[word] = nf = _word_normal_form(word, budget, memo)
+        acc ^= nf
     return AdemElement(frozenset(acc))
 
 

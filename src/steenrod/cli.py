@@ -47,7 +47,7 @@ Result = tuple[int, Iterable[str], Callable[[], dict]]
 
 def resolve_module(name_or_path: str) -> GradedModule:
     """A module from a builtin constructor expression or a definition file."""
-    if name_or_path.endswith(".json") or os.path.exists(name_or_path):
+    if name_or_path.endswith(".json") or os.path.isfile(name_or_path):
         from .modfile import load
 
         return load(name_or_path)
@@ -92,6 +92,8 @@ def _cmd_act(args: argparse.Namespace) -> Result:
     from .parsing import parse_poly, parse_sq
     from .poly import act
 
+    if args.vars is not None and args.vars < 0:  # else only a polynomial with a variable is refused
+        raise ValueError("--vars must be a natural number")
     operation = parse_sq(args.op)
     target = parse_poly(args.on)
     if args.vars is not None:

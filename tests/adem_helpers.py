@@ -1,0 +1,69 @@
+"""The worklist normalizer that the tests use as an oracle.
+
+:func:`steenrod.adem.normalize` computes a word's normal form by its
+definition: the F2-sum of the normal forms of the Adem rewrites of its
+first inadmissible pair, memoized per call.  The normalizer here keeps
+a working sum instead: admissible words are folded into the result,
+other words wait in a pending set (a second copy cancels the first),
+and the largest pending word is rewritten next.  It charges each
+rewrite the same ``a // 2 + 1`` steps, but may rewrite a word more than
+once, so it can run out of budget where ``normalize`` finishes.
+"""
+
+from __future__ import annotations
+
+from steenrod.adem import (
+    DEFAULT_STEP_BUDGET,
+    AdemElement,
+    Word,
+    _Budget,
+    _first_inadmissible,
+    adem_rewrite,
+    is_admissible,
+)
+
+
+def _reference_word_normal_form(word: Word, budget: _Budget, cache: dict[Word, frozenset[Word]]) -> frozenset[Word]:
+    cached = cache.get(word)
+    if cached is not None:
+        return cached
+
+    admissible: set[Word] = set()
+    pending: set[Word] = set()
+
+    def fold(w: Word) -> None:
+        # Cancellation against a pending copy comes first, so the branch
+        # taken for a repeated word never depends on cache timing.
+        if w in pending:
+            pending.remove(w)
+            return
+        nf = cache.get(w)
+        if nf is not None:
+            admissible.symmetric_difference_update(nf)
+        elif is_admissible(w):
+            admissible.symmetric_difference_update((w,))
+        else:
+            pending.add(w)
+
+    fold(word)
+    while pending:
+        w = max(pending)
+        pending.remove(w)
+        j = _first_inadmissible(w)
+        budget.spend(w[j] // 2 + 1)
+        for tail in adem_rewrite(w[j], w[j + 1]):
+            fold(w[:j] + tail + w[j + 2 :])
+
+    result = frozenset(admissible)
+    cache[word] = result
+    return result
+
+
+def reference_normalize(element: AdemElement, *, step_budget: int = DEFAULT_STEP_BUDGET) -> AdemElement:
+    """The worklist normal form; its cache lives for this call only."""
+    budget = _Budget(step_budget)
+    cache: dict[Word, frozenset[Word]] = {}
+    acc: set[Word] = set()
+    for word in element.words:
+        acc ^= _reference_word_normal_form(word, budget, cache)
+    return AdemElement(frozenset(acc))

@@ -1,6 +1,8 @@
 """Rewriting engine: admissibility, Adem expansion, normalization, basis."""
 
 import itertools
+import random
+import sys
 import time
 
 import pytest
@@ -20,6 +22,8 @@ from steenrod.adem import (
     normalize,
     product,
 )
+
+from adem_helpers import reference_normalize
 
 words = st.lists(st.integers(1, 9), max_size=5).map(tuple)
 elements = st.frozensets(words, max_size=4).map(AdemElement)
@@ -144,6 +148,47 @@ def test_normalize_of_a_large_sum_takes_linear_time():
     start = time.perf_counter()
     assert normalize(element) == element
     assert time.perf_counter() - start < 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(1, 64), max_size=12).map(tuple))
+def test_normalize_matches_the_worklist_oracle(word):
+    # Wherever the worklist finishes within the default budget, normalize
+    # must finish too (a StepBudgetExceeded here fails the test) and agree.
+    steenrod.clear_caches()
+    try:
+        expected = reference_normalize(Sq(*word))
+    except StepBudgetExceeded:
+        return
+    steenrod.clear_caches()
+    assert normalize(Sq(*word)) == expected
+
+
+def test_long_words_stay_within_the_default_recursion_limit():
+    # normalize recurses one level per rewrite along a single chain of
+    # rewrites, so the depth follows that chain, not the word's length.
+    rng = random.Random(0)
+    named = [(1, 2) * 550, (4, 3, 2, 1) * 275, tuple(range(1, 1101))]
+    seeded = [tuple(rng.randint(1, 64) for _ in range(1100)) for _ in range(3)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for word in named:
+            steenrod.clear_caches()
+            assert normalize(Sq(*word)).is_admissible()
+        steenrod.clear_caches()
+        with pytest.raises(StepBudgetExceeded):
+            normalize(Sq(*range(1100, 0, -1)))
+        for word in seeded:
+            # A tenth of the default budget keeps each word under 0.5 s; the
+            # first chain is followed to its end before any other is started.
+            steenrod.clear_caches()
+            try:
+                assert normalize(Sq(*word), step_budget=10**5).is_admissible()
+            except StepBudgetExceeded:
+                pass
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_product_examples():

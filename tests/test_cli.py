@@ -74,6 +74,15 @@ def test_act_vars_bound(capsys):
     assert "t4" in err
 
 
+@pytest.mark.parametrize("poly", ["1", "t1"])
+def test_negative_vars_is_refused(capsys, poly):
+    # without the check, 1 printed 0 and t1 exited 2 with another message
+    code, out, err = run(capsys, "act", "--op", "Sq1", "--on", poly, "--vars", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --vars must be a natural number\n"
+
+
 def test_total_square(capsys):
     code, out, _ = run(capsys, "total-square", "--on", "t1", "--var", "t2")
     assert code == 0
@@ -176,6 +185,13 @@ def test_verify_module_file(tmp_path, capsys):
     modfile.save(real_proj(4), path)
     code, out, _ = run(capsys, "verify", "--module", str(path), "--max-degree", "4")
     assert code == 0
+
+
+def test_a_directory_does_not_shadow_a_builtin_module(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s3").mkdir()
+    code, out, err = run(capsys, "verify", "--module", "s3", "--max-degree", "3")
+    assert (code, out, err) == (0, "s3: 4 checks up to degree 3, all passed\n", "")
 
 
 def test_verify_corrupted_module_file(tmp_path, capsys):

@@ -201,6 +201,24 @@ def test_derived_relations_span_the_kernel_of_the_action_on_degree_m():
             assert rank_f2(derived) == len(words) - rank_f2(images), (m, d)
 
 
+def test_derived_relations_are_stable_below_the_source_degree():
+    # Stability: in each operator degree d < m, the relations derived at
+    # source degree m span the same space as those derived at m - 1.
+    def by_degree(m):
+        groups = {}
+        for relation in derive_adem_relations(m):
+            groups.setdefault(degree(next(iter(relation.words))), []).append(relation.words)
+        return groups
+
+    below = by_degree(0)
+    for m in range(1, 33):
+        here = by_degree(m)
+        for d in range(m):
+            a, b = here.get(d, []), below.get(d, [])
+            assert rank_f2(a) == rank_f2(b) == rank_f2(a + b), (m, d)
+        below = here
+
+
 def test_generic_rejects_negative_degree():
     with pytest.raises(ValueError):
         SymbolicClass.generic(-1)
