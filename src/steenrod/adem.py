@@ -154,25 +154,42 @@ _NF_CACHE: dict[Word, frozenset[Word]] = {}
 
 
 def _word_normal_form(word: Word, budget: _Budget, memo: dict[Word, frozenset[Word]]) -> frozenset[Word]:
-    """The normal form of one word, by definition.
+    """The normal form of one of normalize()'s own words, kept in _NF_CACHE.
 
     An admissible word is its own normal form; any other word's is the
     F2-sum of the normal forms of the Adem rewrites of its first
-    inadmissible pair.
+    inadmissible pair.  The sums are taken depth first on an explicit
+    stack, so a long chain of rewrites needs no call depth.
     """
-    nf = _NF_CACHE.get(word, memo.get(word))
-    if nf is None:
-        j = _first_inadmissible(word)
-        if j is None:
-            nf = frozenset((word,))
+    nf = _NF_CACHE.get(word)
+    if nf is not None:
+        return nf
+    # Each frame holds a word, the sum of its rewrites' normal forms so far
+    # and the rewrites left to add; the bottom frame adds the word itself.
+    frames = [((), set(), iter((word,)))]
+    while True:
+        w, acc, rewrites = frames[-1]
+        for r in rewrites:
+            nf = memo.get(r)
+            if nf is None:
+                nf = _NF_CACHE.get(r)
+                if nf is None:
+                    j = _first_inadmissible(r)
+                    if j is not None:
+                        budget.spend(r[j] // 2 + 1)
+                        expansion = [r[:j] + t + r[j + 2 :] for t in adem_rewrite(r[j], r[j + 1])]
+                        frames.append((r, set(), iter(expansion)))
+                        break
+                    nf = frozenset((r,))
+                memo[r] = nf
+            acc ^= nf
         else:
-            budget.spend(word[j] // 2 + 1)
-            acc: set[Word] = set()
-            for tail in adem_rewrite(word[j], word[j + 1]):
-                acc ^= _word_normal_form(word[:j] + tail + word[j + 2 :], budget, memo)
-            nf = frozenset(acc)
-        memo[word] = nf
-    return nf
+            frames.pop()
+            if not frames:
+                nf = _NF_CACHE[word] = memo[word]
+                return nf
+            memo[w] = nf = frozenset(acc)
+            frames[-1][1].symmetric_difference_update(nf)
 
 
 def normalize(element: AdemElement, *, step_budget: int = DEFAULT_STEP_BUDGET) -> AdemElement:
@@ -186,8 +203,7 @@ def normalize(element: AdemElement, *, step_budget: int = DEFAULT_STEP_BUDGET) -
     memo: dict[Word, frozenset[Word]] = {}
     acc: set[Word] = set()
     for word in element.words:
-        _NF_CACHE[word] = nf = _word_normal_form(word, budget, memo)
-        acc ^= nf
+        acc ^= _word_normal_form(word, budget, memo)
     return AdemElement(frozenset(acc))
 
 

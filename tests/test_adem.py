@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+import threading
 import time
 
 import pytest
@@ -164,31 +165,57 @@ def test_normalize_matches_the_worklist_oracle(word):
     assert normalize(Sq(*word)) == expected
 
 
-def test_long_words_stay_within_the_default_recursion_limit():
-    # normalize recurses one level per rewrite along a single chain of
-    # rewrites, so the depth follows that chain, not the word's length.
+def _in_thread_under_recursion_limit(limit, check):
+    # A new thread starts with almost no frames on its stack, so the limit
+    # bounds the call depth of check() itself.
+    errors = []
+
+    def run():
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit)
+        try:
+            check()
+        except BaseException as exc:
+            errors.append(exc)
+        finally:
+            sys.setrecursionlimit(old)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    if errors:
+        raise errors[0]
+
+
+def test_long_words_need_no_call_depth():
+    # Every rewrite shortens a word by at most one square and an admissible
+    # word of degree D has at most log2(D + 1) squares, so a word of length
+    # L with a nonzero normal form is rewritten through a chain of at least
+    # L - log2(D + 1) words.  This word of 165 powers of two (blocks
+    # Sq^2^k ... Sq^2^s for 0 <= s <= k <= 8) has such a chain of over 150
+    # words; normalize must finish it under a limit of 50 frames.
+    word = tuple(2**i for k in range(9) for s in range(k + 1) for i in range(k, s - 1, -1))
+    expected = Sq(*(k * 2 ** (k + 1) + 1 for k in range(8, -1, -1)))
     rng = random.Random(0)
-    named = [(1, 2) * 550, (4, 3, 2, 1) * 275, tuple(range(1, 1101))]
-    seeded = [tuple(rng.randint(1, 64) for _ in range(1100)) for _ in range(3)]
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        for word in named:
+    # Each seeded word lies in the subalgebra generated by Sq1 .. Sq16,
+    # which is zero above degree 201, so its normal form is zero.
+    seeded = [tuple(rng.randint(1, 16) for _ in range(1100)) for _ in range(3)]
+
+    def check():
+        steenrod.clear_caches()
+        assert normalize(Sq(*word)) == expected
+        for long_word in [(1, 2) * 550, (4, 3, 2, 1) * 275, tuple(range(1, 1101)), *seeded]:
             steenrod.clear_caches()
-            assert normalize(Sq(*word)).is_admissible()
+            assert normalize(Sq(*long_word)).is_zero()
         steenrod.clear_caches()
         with pytest.raises(StepBudgetExceeded):
             normalize(Sq(*range(1100, 0, -1)))
-        for word in seeded:
-            # A tenth of the default budget keeps each word under 0.5 s; the
-            # first chain is followed to its end before any other is started.
-            steenrod.clear_caches()
-            try:
-                assert normalize(Sq(*word), step_budget=10**5).is_admissible()
-            except StepBudgetExceeded:
-                pass
-    finally:
-        sys.setrecursionlimit(limit)
+
+    steenrod.clear_caches()  # imports every layer before the limit drops
+    _in_thread_under_recursion_limit(50, check)
+    steenrod.clear_caches()
+    assert reference_normalize(Sq(*word)) == expected
 
 
 def test_product_examples():
