@@ -220,7 +220,10 @@ def _admissible_tails(total: int, max_first: int) -> Iterator[Word]:
     if total == 0:
         yield ()
         return
-    for first in range(1, min(total, max_first) + 1):
+    # An admissible word starting with Sq^f has degree at most
+    # f + f/2 + f/4 + ... < 2f, so its rest has degree at most f - 1.
+    # A first square below (total + 2) // 2 would leave more than that.
+    for first in range((total + 2) // 2, min(total, max_first) + 1):
         for rest in _admissible_tails(total - first, first // 2):
             yield (first,) + rest
 

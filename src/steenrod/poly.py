@@ -264,6 +264,8 @@ def total_square(p: PolyElement, var: int) -> PolyElement:
     monomial prod t^e goes to prod t^e (u + t)^e, whose terms are
     distinct; more than ``_MAX_TOTAL_SQUARE_TERMS`` raise ValueError.
     """
+    if var < 1:
+        raise ValueError("variables are indexed from 1")
     m = p.homogeneous_degree()
     if m is None:
         return PolyElement.zero()

@@ -8,9 +8,15 @@ other words wait in a pending set (a second copy cancels the first),
 and the largest pending word is rewritten next.  It charges each
 rewrite the same ``a // 2 + 1`` steps, but may rewrite a word more than
 once, so it can run out of budget where ``normalize`` finishes.
+
+:func:`reference_admissible_basis` enumerates admissible words by
+trying every first square from 1 up, the search that
+:func:`steenrod.adem.admissible_basis` prunes by degree.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from steenrod.adem import (
     DEFAULT_STEP_BUDGET,
@@ -20,6 +26,7 @@ from steenrod.adem import (
     _first_inadmissible,
     adem_rewrite,
     is_admissible,
+    word_key,
 )
 
 
@@ -67,3 +74,17 @@ def reference_normalize(element: AdemElement, *, step_budget: int = DEFAULT_STEP
     for word in element.words:
         acc ^= _reference_word_normal_form(word, budget, cache)
     return AdemElement(frozenset(acc))
+
+
+def _reference_tails(total: int, max_first: int) -> Iterator[Word]:
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, min(total, max_first) + 1):
+        for rest in _reference_tails(total - first, first // 2):
+            yield (first,) + rest
+
+
+def reference_admissible_basis(d: int) -> list[Word]:
+    """All admissible words of degree d, every first square tried."""
+    return sorted(_reference_tails(d, d), key=word_key)

@@ -24,7 +24,7 @@ from steenrod.adem import (
     product,
 )
 
-from adem_helpers import reference_normalize
+from adem_helpers import reference_admissible_basis, reference_normalize
 
 words = st.lists(st.integers(1, 9), max_size=5).map(tuple)
 elements = st.frozensets(words, max_size=4).map(AdemElement)
@@ -246,6 +246,13 @@ def test_admissible_basis_against_enumeration_oracle():
             key=lambda w: (len(w), w),
         )
         assert admissible_basis(d) == expected
+
+
+def test_admissible_basis_matches_the_unpruned_enumeration():
+    for d in range(81):
+        assert admissible_basis(d) == reference_admissible_basis(d), d
+    assert len(admissible_basis(112)) == 1751
+    assert len(admissible_basis(256)) == 43727
 
 
 def test_element_string_forms():

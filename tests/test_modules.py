@@ -28,6 +28,8 @@ from steenrod.modules import (
 from steenrod.parsing import parse_poly
 from steenrod.poly import act
 
+from modules_helpers import predicted_checks
+
 
 def corrupted_rp4() -> GradedModule:
     """rp4 with the wrong differential Sq1(t1) := t1 (a negative control)."""
@@ -169,6 +171,42 @@ def test_verify_axioms_catches_corruption():
     axioms = {f.axiom for f in report.failures}
     assert "(I3)" in axioms
     assert "(C)" in axioms
+
+
+@pytest.mark.parametrize("max_degree, total", [(1, 3375), (4, 18168), (10, 118675), (12, 160914)])
+def test_verify_counts_the_predicted_checks_on_the_catalog(max_degree, total):
+    counted = 0
+    for module in full_verification_catalog():
+        checks = verify_axioms(module, max_degree).checks
+        assert checks == predicted_checks(module, max_degree), module.name
+        counted += checks
+    assert counted == total
+
+
+def test_verify_counts_the_predicted_checks_on_large_models():
+    for module, max_degree in [(complex_proj(128), 256), (real_proj(64), 64), (suspend(real_proj(33)), 34)]:
+        assert verify_axioms(module, max_degree).checks == predicted_checks(module, max_degree), module.name
+
+
+def test_verify_evaluates_checks_in_empty_degrees_after_a_degree_failure():
+    # Sq2(b2) = c6 lands in degree 6 instead of 4.  Sq1 Sq2 on b2 then
+    # reaches e7, while its Adem expansion Sq3 vanishes on b2; degree
+    # 2 + 3 = 5 holds no generator, so only a verifier that stops skipping
+    # empty degrees after a degree failure sees the (A) failure.
+    gap = GradedModule(
+        "gap",
+        (("b2", 2), ("c6", 6), ("e7", 7)),
+        {("b2", 2): frozenset({"c6"}), ("c6", 1): frozenset({"e7"})},
+        {},
+        7,
+    )
+    report = verify_axioms(gap, 7)
+    assert report.checks == predicted_checks(gap, 7) == 54
+    assert [(f.axiom, f.where) for f in report.failures] == [
+        ("degree", "Sq2(b2)"),
+        ("(I3)", "Sq2(b2)"),
+        ("(A)", "Sq1 Sq2 on b2"),
+    ]
 
 
 def test_verify_full_catalog_up_to_degree_ten():

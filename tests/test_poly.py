@@ -157,6 +157,13 @@ def test_total_square_requires_fresh_variable():
         total_square(parse_poly("t1*t2"), 2)
 
 
+@pytest.mark.parametrize("var", [0, -3])
+def test_total_square_rejects_variables_below_one(var):
+    for p in (parse_poly("t1"), PolyElement.zero()):
+        with pytest.raises(ValueError, match="variables are indexed from 1"):
+            total_square(p, var)
+
+
 def test_total_square_rejects_inhomogeneous():
     with pytest.raises(ValueError):
         total_square(parse_poly("t1 + t1^2"), 3)
