@@ -4,8 +4,9 @@ A word ``(i1, ..., ik)`` of positive ints stands for the composite
 operation Sq^i1 ... Sq^ik; the empty word is the identity (Sq^0 is
 never stored).  An :class:`AdemElement` is a formal F2-sum of words.
 A word is admissible when every adjacent pair satisfies ``i >= 2*j``;
-:func:`normalize` rewrites inadmissible pairs with the Adem rule until
-the sum is supported on admissible words only.
+:func:`normalize` multiplies each word onto the identity one square at
+a time, rewriting with the Adem rule the one pair that can break
+admissibility, so the sum ends up supported on admissible words only.
 
 Nothing in this module evaluates the operations on anything; the
 polynomial action in :mod:`steenrod.poly` is kept fully independent so
@@ -23,8 +24,10 @@ Word = tuple[int, ...]
 
 #: Rewrite steps allowed per normalize() call before giving up.  A
 #: rewrite of Sq^a Sq^b costs a // 2 + 1 steps, the length of the Adem
-#: sum it expands, whether or not that expansion is cached.  Each
-#: distinct word is rewritten at most once per call, and only the
+#: sum it expands, whether or not that expansion is cached.  A word is
+#: multiplied onto the identity one square at a time, so only the pair
+#: (last square of an admissible word, new square) is ever rewritten,
+#: and each distinct such pair at most once per call; only the
 #: element's own words enter the shared normal-form cache.  Adem
 #: rewriting terminates, so the budget only turns a regression or a
 #: huge square into a reported error instead of a hang.
@@ -51,16 +54,9 @@ def excess(word: Word) -> int:
     return max(0, word[0] - sum(word[1:]))
 
 
-def _first_inadmissible(word: Word) -> int | None:
-    for j in range(len(word) - 1):
-        if word[j] < 2 * word[j + 1]:
-            return j
-    return None
-
-
 def is_admissible(word: Word) -> bool:
     """True iff every adjacent pair satisfies i_j >= 2 * i_{j+1}."""
-    return _first_inadmissible(word) is None
+    return all(i >= 2 * j for i, j in zip(word, word[1:]))
 
 
 def word_key(word: Word) -> tuple[int, int, Word]:
@@ -148,48 +144,40 @@ class _Budget:
 # Normal forms of single words, shared across calls.  Only the words of
 # the elements passed to normalize() are written, each once its normal
 # form is complete, so the cache never holds partial results and
-# concurrent readers see consistent values.  The intermediate words of a
-# call live in that call's memo and are dropped with it.
+# concurrent readers see consistent values.  The products of a call's
+# admissible words by single squares live in that call's memo and are
+# dropped with it.
 _NF_CACHE: dict[Word, frozenset[Word]] = {}
+_Memo = dict[tuple[Word, int], frozenset[Word]]
 
 
-def _word_normal_form(word: Word, budget: _Budget, memo: dict[Word, frozenset[Word]]) -> frozenset[Word]:
-    """The normal form of one of normalize()'s own words, kept in _NF_CACHE.
+def _times_square(v: Word, a: int, budget: _Budget, memo: _Memo) -> frozenset[Word]:
+    """The normal form of v Sq^a for an admissible word v.
 
-    An admissible word is its own normal form; any other word's is the
-    F2-sum of the normal forms of the Adem rewrites of its first
-    inadmissible pair.  The sums are taken depth first on an explicit
-    stack, so a long chain of rewrites needs no call depth.
+    Only the last pair (v[-1], a) can be inadmissible; its Adem rewrite
+    is charged once and memoized per call on (v, a).
     """
-    nf = _NF_CACHE.get(word)
-    if nf is not None:
-        return nf
-    # Each frame holds a word, the sum of its rewrites' normal forms so far
-    # and the rewrites left to add; the bottom frame adds the word itself.
-    frames = [((), set(), iter((word,)))]
-    while True:
-        w, acc, rewrites = frames[-1]
-        for r in rewrites:
-            nf = memo.get(r)
-            if nf is None:
-                nf = _NF_CACHE.get(r)
-                if nf is None:
-                    j = _first_inadmissible(r)
-                    if j is not None:
-                        budget.spend(r[j] // 2 + 1)
-                        expansion = [r[:j] + t + r[j + 2 :] for t in adem_rewrite(r[j], r[j + 1])]
-                        frames.append((r, set(), iter(expansion)))
-                        break
-                    nf = frozenset((r,))
-                memo[r] = nf
-            acc ^= nf
-        else:
-            frames.pop()
-            if not frames:
-                nf = _NF_CACHE[word] = memo[word]
-                return nf
-            memo[w] = nf = frozenset(acc)
-            frames[-1][1].symmetric_difference_update(nf)
+    if not v or v[-1] >= 2 * a:
+        return frozenset((v + (a,),))
+    nf = memo.get((v, a))
+    if nf is None:
+        budget.spend(v[-1] // 2 + 1)
+        acc: set[Word] = set()
+        for t in adem_rewrite(v[-1], a):
+            acc ^= _times_word(v[:-1], t, budget, memo)
+        nf = memo[v, a] = frozenset(acc)
+    return nf
+
+
+def _times_word(v: Word, word: Word, budget: _Budget, memo: _Memo) -> set[Word]:
+    """The normal form of v Sq^word for an admissible word v, one square at a time."""
+    acc = {v}
+    for a in word:
+        step: set[Word] = set()
+        for u in acc:
+            step ^= _times_square(u, a, budget, memo)
+        acc = step
+    return acc
 
 
 def normalize(element: AdemElement, *, step_budget: int = DEFAULT_STEP_BUDGET) -> AdemElement:
@@ -200,10 +188,13 @@ def normalize(element: AdemElement, *, step_budget: int = DEFAULT_STEP_BUDGET) -
     Raises :class:`StepBudgetExceeded` when the budget runs out.
     """
     budget = _Budget(step_budget)
-    memo: dict[Word, frozenset[Word]] = {}
+    memo: _Memo = {}
     acc: set[Word] = set()
     for word in element.words:
-        acc ^= _word_normal_form(word, budget, memo)
+        nf = _NF_CACHE.get(word)
+        if nf is None:
+            nf = _NF_CACHE[word] = frozenset(_times_word((), word, budget, memo))
+        acc ^= nf
     return AdemElement(frozenset(acc))
 
 

@@ -1,13 +1,16 @@
 """The worklist normalizer that the tests use as an oracle.
 
-:func:`steenrod.adem.normalize` computes a word's normal form by its
-definition: the F2-sum of the normal forms of the Adem rewrites of its
-first inadmissible pair, memoized per call.  The normalizer here keeps
-a working sum instead: admissible words are folded into the result,
-other words wait in a pending set (a second copy cancels the first),
-and the largest pending word is rewritten next.  It charges each
-rewrite the same ``a // 2 + 1`` steps, but may rewrite a word more than
-once, so it can run out of budget where ``normalize`` finishes.
+:func:`steenrod.adem.normalize` multiplies each word onto the identity
+one square at a time: every partial product is a sum of admissible
+words, so only the pair (last square of an admissible word, new square)
+is ever rewritten, and each distinct such pair at most once per call.
+The normalizer here rewrites whole words instead and keeps a working
+sum: admissible words are folded into the result, other words wait in
+a pending set (a second copy cancels the first), and the first
+inadmissible pair of the largest pending word is rewritten next.  It
+charges each rewrite the same ``a // 2 + 1`` steps, but may rewrite a
+word more than once, so it can run out of budget where ``normalize``
+finishes.
 
 :func:`reference_admissible_basis` enumerates admissible words by
 trying every first square from 1 up, the search that
@@ -23,11 +26,17 @@ from steenrod.adem import (
     AdemElement,
     Word,
     _Budget,
-    _first_inadmissible,
     adem_rewrite,
     is_admissible,
     word_key,
 )
+
+
+def _first_inadmissible(word: Word) -> int | None:
+    for j in range(len(word) - 1):
+        if word[j] < 2 * word[j + 1]:
+            return j
+    return None
 
 
 def _reference_word_normal_form(word: Word, budget: _Budget, cache: dict[Word, frozenset[Word]]) -> frozenset[Word]:

@@ -142,6 +142,19 @@ def test_normalize_charges_each_rewrite_its_length():
     assert normalize(Sq(20, 6, 4), step_budget=4) == Sq(20, 7, 3)
 
 
+def test_normalize_exhausts_the_budget_in_bounded_time():
+    # Multiplying one square at a time does uncharged work (appending a
+    # square that keeps a word admissible, reusing a memoized product)
+    # between rewrites; on this word it spends the default budget in about
+    # 1 s on a 2-vCPU Xeon VM.
+    word = (232, 98, 95, 244, 96, 49, 229, 156, 73, 47, 22, 203, 232, 81, 8, 33, 31, 19, 98, 124, 16, 238, 168, 226, 101, 120, 151, 256, 3, 44)
+    steenrod.clear_caches()
+    start = time.perf_counter()
+    with pytest.raises(StepBudgetExceeded):
+        normalize(Sq(*word))
+    assert time.perf_counter() - start < 5
+
+
 def test_normalize_of_a_large_sum_takes_linear_time():
     # Accumulating the normal forms in a frozenset copies the whole sum
     # at every word (3.6 s on a 2-vCPU Xeon VM); a set takes 0.03 s.
@@ -189,14 +202,18 @@ def _in_thread_under_recursion_limit(limit, check):
 
 
 def test_long_words_need_no_call_depth():
-    # Every rewrite shortens a word by at most one square and an admissible
-    # word of degree D has at most log2(D + 1) squares, so a word of length
-    # L with a nonzero normal form is rewritten through a chain of at least
-    # L - log2(D + 1) words.  This word of 165 powers of two (blocks
-    # Sq^2^k ... Sq^2^s for 0 <= s <= k <= 8) has such a chain of over 150
-    # words; normalize must finish it under a limit of 50 frames.
+    # normalize multiplies the squares of a word onto the identity in a
+    # loop, so the length of a word costs no call depth.  Calls nest only
+    # while the Adem terms of one pair (last square of an admissible word,
+    # new square) are multiplied back onto the rest of that word, all in
+    # the word's degree D; on every word tried the nesting stayed within
+    # D.bit_length() (13 for the 165 powers of two below: blocks
+    # Sq^2^k ... Sq^2^s for 0 <= s <= k <= 8).  The 35-square word of
+    # degree 201 ran out of the default budget when each word's first
+    # inadmissible pair was rewritten (about 10^7 steps needed).
     word = tuple(2**i for k in range(9) for s in range(k + 1) for i in range(k, s - 1, -1))
     expected = Sq(*(k * 2 ** (k + 1) + 1 for k in range(8, -1, -1)))
+    stacked = (16, 8, 16, 4, 8, 16, 2, 4, 8, 16, 1, 2, 4, 8, 16, 8, 4, 8, 2, 4, 8, 1, 2, 4, 8, 4, 2, 4, 1, 2, 4, 2, 1, 2, 1)
     rng = random.Random(0)
     # Each seeded word lies in the subalgebra generated by Sq1 .. Sq16,
     # which is zero above degree 201, so its normal form is zero.
@@ -205,6 +222,8 @@ def test_long_words_need_no_call_depth():
     def check():
         steenrod.clear_caches()
         assert normalize(Sq(*word)) == expected
+        steenrod.clear_caches()
+        assert normalize(Sq(*stacked)) == Sq(129, 49, 17, 5, 1)
         for long_word in [(1, 2) * 550, (4, 3, 2, 1) * 275, tuple(range(1, 1101)), *seeded]:
             steenrod.clear_caches()
             assert normalize(Sq(*long_word)).is_zero()
