@@ -7,7 +7,6 @@ The document is a single JSON object:
     {
       "name": "rp2",
       "top_degree": 2,
-      "unit": null,
       "generators": [["t1", 1], ["t2", 2]],
       "sq": {"t1": {"1": ["t2"]}},
       "products": {"t1,t2": [], "t1,t1": ["t2"]}
@@ -23,6 +22,7 @@ repeats a key.  Absent entries mean zero in both tables.  Ids match
 every field has the right JSON type and shape; any violation is a
 ``ValueError``); semantic checks belong to ``verify_axioms``, so a
 deliberately wrong action table still loads and can be reported on.
+A ``"unit"`` key loads only if it is ``null``: a module has no unit class.
 
 Serialization is canonical: sorted keys, sorted lists, two-space
 indent.  load(save(M)) reproduces the module exactly.
@@ -51,7 +51,6 @@ def module_to_dict(module: GradedModule) -> dict:
     return {
         "name": module.name,
         "top_degree": module.top_degree,
-        "unit": module.unit,
         "generators": [[gid, d] for gid, d in module.generators],
         "sq": sq,
         "products": products,
@@ -95,9 +94,8 @@ def module_from_dict(doc: dict) -> GradedModule:
         ids.add(gid)
         generators.append((gid, d))
 
-    unit = doc.get("unit")
-    if unit is not None and (not isinstance(unit, str) or not _ID_RE.fullmatch(unit)):
-        raise ValueError(f"bad unit id {unit!r}")
+    if doc.get("unit") is not None:
+        raise ValueError("'unit' must be null or absent: a module has no unit class")
 
     def known(gid: str, context: str) -> str:
         if not isinstance(gid, str) or gid not in ids:
@@ -132,7 +130,7 @@ def module_from_dict(doc: dict) -> GradedModule:
         if value:
             products[pair] = value
 
-    return GradedModule(name, tuple(generators), sq, products, top_degree, unit)
+    return GradedModule(name, tuple(generators), sq, products, top_degree)
 
 
 def dumps(module: GradedModule) -> str:

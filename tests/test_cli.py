@@ -187,6 +187,16 @@ def test_verify_module_file(tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_refuses_a_module_file_with_a_unit(tmp_path, capsys):
+    # A module has no unit class, so a file whose unit names generator t1 is refused, not verified.
+    doc = {"name": "x", "top_degree": 1, "unit": "t1", "generators": [["t1", 1]], "sq": {}, "products": {}}
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--module", str(path), "--max-degree", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: 'unit' must be null or absent: a module has no unit class\n"
+
+
 def test_a_directory_does_not_shadow_a_builtin_module(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "s3").mkdir()

@@ -250,6 +250,7 @@ def test_module_file_round_trip():
     for module in [real_proj(4), complex_proj(3), suspend(complex_proj(2)),
                    wedge(real_proj(2), real_proj(2)), sphere(3)]:
         text = modfile.dumps(module)
+        assert "unit" not in json.loads(text)
         again = modfile.loads(text)
         assert modfile.dumps(again) == text
         assert again.generators == module.generators
@@ -328,6 +329,17 @@ def test_module_file_type_errors_are_value_errors(fields):
             modfile.loads(fields)
         else:
             modfile.module_from_dict(_document(**fields))
+
+
+def test_module_file_unit_may_only_be_null():
+    # Reduced cohomology has no unit class: a null or absent "unit" loads alike, an id is refused.
+    without = _document()
+    del without["unit"]
+    with_null = modfile.module_from_dict(_document())
+    assert modfile.module_to_dict(with_null) == modfile.module_to_dict(modfile.module_from_dict(without))
+    for unit in ["one", "t1"]:
+        with pytest.raises(ValueError, match="unit"):
+            modfile.module_from_dict(_document(unit=unit))
 
 
 def test_module_file_rejects_non_string_product_key():
@@ -482,14 +494,13 @@ def _assert_same_reports(cases):
         assert got == _reference_verify_axioms(module, max_degree).as_dict(), (module.name, max_degree)
 
 
-def _with(module: GradedModule, *, sq=None, products=None, unit=None, name=None) -> GradedModule:
+def _with(module: GradedModule, *, sq=None, products=None, name=None) -> GradedModule:
     return GradedModule(
         name or module.name,
         module.generators,
         module.sq if sq is None else sq,
         module.products if products is None else products,
         module.top_degree,
-        unit,
     )
 
 
@@ -499,8 +510,12 @@ def test_verify_matches_reference_on_the_catalog(max_degree):
 
 
 def test_verify_matches_reference_on_large_models():
+    # Sq1(t5) gains t9, a target in the wrong degree, so rp40_bad evaluates every check.
+    rp40 = real_proj(40)
+    rp40_bad = _with(rp40, sq={**rp40.sq, ("t5", 1): rp40.sq[("t5", 1)] ^ {"t9"}}, name="rp40_bad")
+    assert {f.axiom for f in verify_axioms(rp40_bad, 40).failures} == {"degree", "(C)", "(A)"}
     _assert_same_reports(
-        [(real_proj(20), 30), (complex_proj(15), 30), (suspend(real_proj(30)), 31)]
+        [(real_proj(20), 30), (complex_proj(15), 30), (suspend(real_proj(30)), 31), (rp40_bad, 40)]
     )
 
 
@@ -536,18 +551,6 @@ def test_verify_matches_reference_on_malformed_tables():
     for module in [above, wrong_degree, wrong_product]:
         assert not verify_axioms(module, 4).ok
     _assert_same_reports((m, d) for m in [above, wrong_degree, wrong_product] for d in range(-1, 7))
-
-
-def test_verify_matches_reference_with_a_unit():
-    rp4 = real_proj(4)
-    cases = [
-        _with(rp4, unit="one"),
-        _with(rp4, unit="one", sq={**rp4.sq, ("one", 1): frozenset({"t1"})}),
-        _with(rp4, unit="one", products={**rp4.products, pair_key("one", "t2"): frozenset({"t2"})}),
-        _with(rp4, unit="t1"),  # the unit id is also a generator id
-        _with(wedge(sphere(2), complex_proj(2)), unit="x2"),
-    ]
-    _assert_same_reports((m, d) for m in cases for d in (0, 2, 4, 6))
 
 
 def test_verify_matches_reference_at_degree_zero_and_below():
