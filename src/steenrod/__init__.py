@@ -68,12 +68,14 @@ def _caches():
 def cache_info() -> dict[str, int]:
     """Entry counts of the engine's caches.
 
-    ``nf_cache`` holds normal forms of single words and ``adem_rewrite``
-    the expansions of inadmissible pairs (``normalize``,
-    ``verify_axioms``); ``sq_monomial`` and ``act_monomial`` hold the
-    Cartan action on monomials (``act``, ``sq``); ``sq_orbit``
-    holds it on orbit sums of symmetric classes (``faithful_rank``,
-    ``vanishes_on_degree``).  All five grow without bound.
+    ``nf_cache`` holds normal forms of single words (the words passed to
+    ``normalize`` and the products of admissible words by one square
+    that it rewrote) and ``adem_rewrite`` the expansions of inadmissible
+    pairs (``normalize``, ``verify_axioms``); ``sq_monomial`` and
+    ``act_monomial`` hold the Cartan action on monomials (``act``,
+    ``sq``); ``sq_orbit`` holds it on orbit sums of symmetric classes
+    (``faithful_rank``, ``vanishes_on_degree``).  All five grow without
+    bound.
     """
     return {key: len(c) if isinstance(c, dict) else c.cache_info().currsize for key, c in _caches()}
 

@@ -26,11 +26,13 @@ Word = tuple[int, ...]
 #: rewrite of Sq^a Sq^b costs a // 2 + 1 steps, the length of the Adem
 #: sum it expands, whether or not that expansion is cached.  A word is
 #: multiplied onto the identity one square at a time, so only the pair
-#: (last square of an admissible word, new square) is ever rewritten,
-#: and each distinct such pair at most once per call; only the
-#: element's own words enter the shared normal-form cache.  Adem
-#: rewriting terminates, so the budget only turns a regression or a
-#: huge square into a reported error instead of a hang.
+#: (last square of an admissible word, new square) is ever rewritten.
+#: Each product v Sq^a that needs a rewrite enters the shared
+#: normal-form cache beside the element's own words, so it is charged
+#: at most once until clear_caches(), and a later call that needs it
+#: again gets it free.  Adem rewriting terminates, so the budget only
+#: turns a regression or a huge square into a reported error instead
+#: of a hang.
 DEFAULT_STEP_BUDGET = 10**6
 
 
@@ -141,41 +143,47 @@ class _Budget:
             )
 
 
-# Normal forms of single words, shared across calls.  Only the words of
-# the elements passed to normalize() are written, each once its normal
-# form is complete, so the cache never holds partial results and
-# concurrent readers see consistent values.  The products of a call's
-# admissible words by single squares live in that call's memo and are
-# dropped with it.
+# Normal forms of single words, shared across calls: the words of the
+# elements passed to normalize(), and each product v Sq^a of an
+# admissible word by a square whose pair (v[-1], a) had to be rewritten,
+# under the word v + (a,) it is the normal form of.  Each entry is
+# written once its normal form is complete, so the cache never holds
+# partial results and concurrent readers see consistent values.  Every
+# zero normal form is the one shared _EMPTY.
 _NF_CACHE: dict[Word, frozenset[Word]] = {}
-_Memo = dict[tuple[Word, int], frozenset[Word]]
+_EMPTY: frozenset[Word] = frozenset()
 
 
-def _times_square(v: Word, a: int, budget: _Budget, memo: _Memo) -> frozenset[Word]:
-    """The normal form of v Sq^a for an admissible word v.
+def _times_square(v: Word, a: int, budget: _Budget) -> frozenset[Word]:
+    """The normal form of v Sq^a for an admissible v with v[-1] < 2a.
 
-    Only the last pair (v[-1], a) can be inadmissible; its Adem rewrite
-    is charged once and memoized per call on (v, a).
+    Its Adem rewrite is charged once and cached on v + (a,).
     """
-    if not v or v[-1] >= 2 * a:
-        return frozenset((v + (a,),))
-    nf = memo.get((v, a))
+    word = v + (a,)
+    nf = _NF_CACHE.get(word)
     if nf is None:
         budget.spend(v[-1] // 2 + 1)
         acc: set[Word] = set()
         for t in adem_rewrite(v[-1], a):
-            acc ^= _times_word(v[:-1], t, budget, memo)
-        nf = memo[v, a] = frozenset(acc)
+            acc ^= _times_word(v[:-1], t, budget)
+        nf = _NF_CACHE[word] = frozenset(acc) or _EMPTY
     return nf
 
 
-def _times_word(v: Word, word: Word, budget: _Budget, memo: _Memo) -> set[Word]:
+def _times_word(v: Word, word: Word, budget: _Budget) -> set[Word]:
     """The normal form of v Sq^word for an admissible word v, one square at a time."""
     acc = {v}
     for a in word:
         step: set[Word] = set()
         for u in acc:
-            step ^= _times_square(u, a, budget, memo)
+            if not u or u[-1] >= 2 * a:  # u Sq^a is admissible
+                w = u + (a,)
+                if w in step:
+                    step.remove(w)
+                else:
+                    step.add(w)
+            else:
+                step ^= _times_square(u, a, budget)
         acc = step
     return acc
 
@@ -188,12 +196,11 @@ def normalize(element: AdemElement, *, step_budget: int = DEFAULT_STEP_BUDGET) -
     Raises :class:`StepBudgetExceeded` when the budget runs out.
     """
     budget = _Budget(step_budget)
-    memo: _Memo = {}
     acc: set[Word] = set()
     for word in element.words:
         nf = _NF_CACHE.get(word)
         if nf is None:
-            nf = _NF_CACHE[word] = frozenset(_times_word((), word, budget, memo))
+            nf = _NF_CACHE[word] = frozenset(_times_word((), word, budget)) or _EMPTY
         acc ^= nf
     return AdemElement(frozenset(acc))
 

@@ -3,7 +3,8 @@
 :func:`steenrod.adem.normalize` multiplies each word onto the identity
 one square at a time: every partial product is a sum of admissible
 words, so only the pair (last square of an admissible word, new square)
-is ever rewritten, and each distinct such pair at most once per call.
+is ever rewritten, and each product it rewrites is cached until
+``steenrod.clear_caches()``, so it is charged at most once across calls.
 The normalizer here rewrites whole words instead and keeps a working
 sum: admissible words are folded into the result, other words wait in
 a pending set (a second copy cancels the first), and the first

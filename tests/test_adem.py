@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steenrod
+from steenrod import adem
 from steenrod.adem import (
     AdemElement,
     Sq,
@@ -118,10 +119,41 @@ def test_normalize_preserves_degree(word):
 
 
 def test_normalize_step_budget():
+    # Earlier calls may have paid for the products of its prefixes.
+    steenrod.clear_caches()
     with pytest.raises(StepBudgetExceeded):
         normalize(Sq(5, 9, 13, 7), step_budget=1)
     # the failed call must not poison later ones
     assert normalize(Sq(5, 9, 13, 7)).is_admissible()
+    assert normalize(Sq(5, 9, 13, 7)) == reference_normalize(Sq(5, 9, 13, 7))
+
+
+def test_normalize_reuses_a_product_paid_for_once():
+    # normalize(Sq6 Sq4) caches the product Sq6 * Sq4 = Sq7 Sq3, so
+    # Sq6 Sq4 Sq1 needs no rewrite: Sq7 Sq3 Sq1 is admissible.
+    steenrod.clear_caches()
+    normalize(Sq(6, 4))
+    assert normalize(Sq(6, 4, 1), step_budget=0) == Sq(7, 3, 1)
+    steenrod.clear_caches()
+    with pytest.raises(StepBudgetExceeded):
+        normalize(Sq(6, 4, 1), step_budget=0)
+
+
+def test_normalize_caches_only_true_normal_forms():
+    # The cache holds the element's words and the products of admissible
+    # words by squares; a call that runs out of budget part-way must
+    # leave only complete entries.  Zero entries share one empty set.
+    rng = random.Random(3)
+    steenrod.clear_caches()
+    for _ in range(200):
+        normalize(Sq(*(rng.randint(1, 24) for _ in range(rng.randint(1, 6)))))
+    before = len(adem._NF_CACHE)
+    with pytest.raises(StepBudgetExceeded):
+        normalize(Sq(40, 33, 27, 21, 30, 17), step_budget=200)
+    assert len(adem._NF_CACHE) > before > 200
+    for word, nf in adem._NF_CACHE.items():
+        assert nf or nf is adem._EMPTY
+        assert AdemElement(nf) == reference_normalize(AdemElement(frozenset({word}))), word
 
 
 def test_normalize_charges_each_rewrite_its_length():
