@@ -11,8 +11,14 @@ under ``--json`` and walks the text lines only without it, so text
 mode builds no payload; ``derive-adem`` yields its lines from a
 generator, so JSON mode formats none of them.
 
-Each subcommand imports the layers it calls when it runs, so start-up
-loads only ``adem`` and ``f2`` (``GradedModule`` in the annotations is
+The command-line syntax is one table, ``_COMMANDS``, of each
+subcommand's function, help and arguments: ``_parse`` reads argv with
+it and ``_help`` prints it for ``-h``/``--help`` (exit 0).  An option
+takes its value from the next token or after '=', may be shortened to
+a unique prefix, and keeps its last value when repeated; a usage error
+is one ``error:`` line on stderr.  Each subcommand imports the layers
+it calls when it runs, so start-up loads only ``adem`` and ``f2``, and
+no argument-parsing library (``GradedModule`` in the annotations is
 ``steenrod.modules.GradedModule``).
 
 Exit codes: 0 success, 1 a verification report contains failures,
@@ -22,12 +28,12 @@ recursion depth exhausted.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
+from types import SimpleNamespace
 
 from .adem import DEFAULT_STEP_BUDGET, StepBudgetExceeded
 
@@ -60,7 +66,7 @@ def resolve_module(name_or_path: str) -> GradedModule:
 # Subcommands
 
 
-def _cmd_normalize(args: argparse.Namespace) -> Result:
+def _cmd_normalize(args: SimpleNamespace) -> Result:
     from .adem import normalize
     from .parsing import parse_sq
 
@@ -75,7 +81,7 @@ def _cmd_normalize(args: argparse.Namespace) -> Result:
     }
 
 
-def _cmd_basis(args: argparse.Namespace) -> Result:
+def _cmd_basis(args: SimpleNamespace) -> Result:
     from .adem import AdemElement, admissible_basis
 
     words = admissible_basis(args.degree)
@@ -88,7 +94,7 @@ def _cmd_basis(args: argparse.Namespace) -> Result:
     }
 
 
-def _cmd_act(args: argparse.Namespace) -> Result:
+def _cmd_act(args: SimpleNamespace) -> Result:
     from .parsing import parse_poly, parse_sq
     from .poly import act
 
@@ -104,7 +110,7 @@ def _cmd_act(args: argparse.Namespace) -> Result:
     return EXIT_OK, [result], lambda: {"operation": args.op, "argument": args.on, "result": result}
 
 
-def _cmd_total_square(args: argparse.Namespace) -> Result:
+def _cmd_total_square(args: SimpleNamespace) -> Result:
     from .parsing import parse_poly
     from .poly import total_square
 
@@ -124,7 +130,7 @@ def _cmd_total_square(args: argparse.Namespace) -> Result:
     return EXIT_OK, [result], lambda: {"argument": args.on, "variable": f"t{var}", "result": result}
 
 
-def _cmd_derive_adem(args: argparse.Namespace) -> Result:
+def _cmd_derive_adem(args: SimpleNamespace) -> Result:
     from .derive import certify_relations
 
     m = args.degree
@@ -151,7 +157,7 @@ def _cmd_derive_adem(args: argparse.Namespace) -> Result:
     }
 
 
-def _cmd_verify(args: argparse.Namespace) -> Result:
+def _cmd_verify(args: SimpleNamespace) -> Result:
     from .modules import verify_axioms
 
     if args.max_degree < 0:  # verify_axioms checks nothing below degree 0
@@ -165,7 +171,7 @@ def _cmd_verify(args: argparse.Namespace) -> Result:
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED, lines, report.as_dict
 
 
-def _cmd_faithful(args: argparse.Namespace) -> Result:
+def _cmd_faithful(args: SimpleNamespace) -> Result:
     from .adem import admissible_basis
     from .poly import faithful_rank
 
@@ -185,7 +191,7 @@ def _cmd_faithful(args: argparse.Namespace) -> Result:
     }
 
 
-def _cmd_distinguish(args: argparse.Namespace) -> Result:
+def _cmd_distinguish(args: SimpleNamespace) -> Result:
     from .modules import distinguish_pi4
 
     report = distinguish_pi4()
@@ -199,66 +205,115 @@ def _cmd_distinguish(args: argparse.Namespace) -> Result:
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED, lines, report.as_dict
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="steenrod",
-        description="Mod-2 Steenrod algebra calculator",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# ---------------------------------------------------------------------------
+# Command-line syntax
 
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="emit JSON on stdout")
-        p.set_defaults(func=func)
-        return p
+_REQUIRED = object()  # the default of an argument that must be given
 
-    p = add("normalize", _cmd_normalize, "rewrite a Sq expression to the admissible basis")
-    p.add_argument("expr", help="expression like 'Sq2 Sq2 + Sq1'")
-    p.add_argument(
-        "--step-budget",
-        type=int,
-        default=DEFAULT_STEP_BUDGET,
-        help="max rewrite steps before giving up (exit code 3)",
-    )
+#: Each subcommand's function, help and arguments.  An argument maps to its
+#: converter (None for a flag), its default and its help; a name without
+#: dashes is positional.  Every subcommand also takes the _COMMON flags.
+_COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], Result], str, dict[str, tuple]]] = {
+    "normalize": (_cmd_normalize, "rewrite a Sq expression to the admissible basis", {
+        "expr": (str, _REQUIRED, "expression like 'Sq2 Sq2 + Sq1'"),
+        "--step-budget": (int, DEFAULT_STEP_BUDGET, "max rewrite steps before giving up (exit code 3)"),
+    }),
+    "basis": (_cmd_basis, "list the admissible words of a degree", {
+        "--degree": (int, _REQUIRED, "degree of the words"),
+    }),
+    "act": (_cmd_act, "apply a Sq expression to a polynomial", {
+        "--op": (str, _REQUIRED, "Sq expression"),
+        "--on": (str, _REQUIRED, "polynomial like 't1^2*t2'"),
+        "--vars": (int, None, "restrict variables to t1..tK"),
+    }),
+    "total-square": (_cmd_total_square, "total square against a fresh variable", {
+        "--on": (str, _REQUIRED, "homogeneous polynomial"),
+        "--var": (str, None, "fresh variable, e.g. t4 (default: next unused)"),
+    }),
+    "derive-adem": (_cmd_derive_adem, "re-derive operator relations at a source degree", {
+        "--degree": (int, _REQUIRED, "degree of the generic class"),
+    }),
+    "verify": (_cmd_verify, "check the Steenrod axioms on a module", {
+        "--module": (str, _REQUIRED, "builtin expression (s3, rp8, wedge(s5,s3), susp(cp2)) or a .json file"),
+        "--max-degree": (int, _REQUIRED, "highest degree to check"),
+    }),
+    "faithful": (_cmd_faithful, "compare action rank with the admissible basis size", {
+        "--degree": (int, _REQUIRED, "degree of the operations"),
+    }),
+    "distinguish-pi4": (_cmd_distinguish, "run the Sq^2 comparison showing π₄(S³) ≠ 0", {}),
+}
+_COMMON = {"--json": (None, False, "emit JSON on stdout"), "--help": (None, False, "show this help (or -h)")}
+_OPTION_RE = re.compile(r"-(?!\d+\Z).")  # -1 is a value, not an option
 
-    p = add("basis", _cmd_basis, "list the admissible words of a degree")
-    p.add_argument("--degree", type=int, required=True)
 
-    p = add("act", _cmd_act, "apply a Sq expression to a polynomial")
-    p.add_argument("--op", required=True, help="Sq expression")
-    p.add_argument("--on", required=True, help="polynomial like 't1^2*t2'")
-    p.add_argument("--vars", type=int, default=None, help="restrict variables to t1..tK")
+def _help(command: str | None) -> str:
+    """What -h/--help prints: the subcommands, or the arguments of one."""
+    if command is None:
+        usage, text = ["COMMAND [options]"], "Mod-2 Steenrod algebra calculator"
+        rows = {name: help_text for name, (_, help_text, _) in _COMMANDS.items()}
+    else:
+        (_, text, arguments), usage, rows = _COMMANDS[command], [command], {}
+        for name, (convert, default, help_text) in {**arguments, **_COMMON}.items():
+            label = f"{name} {convert.__name__.upper()}" if convert and name[0] == "-" else name
+            usage.append(label if default is _REQUIRED else f"[{label}]")
+            rows[label] = help_text
+    lines = [f"usage: steenrod {' '.join(usage)}", "", text, ""]
+    return "\n".join(lines + [f"  {label:<19}{help_text}" for label, help_text in rows.items()])
 
-    p = add("total-square", _cmd_total_square, "total square against a fresh variable")
-    p.add_argument("--on", required=True, help="homogeneous polynomial")
-    p.add_argument("--var", default=None, help="fresh variable, e.g. t4 (default: next unused)")
 
-    p = add("derive-adem", _cmd_derive_adem, "re-derive operator relations at a source degree")
-    p.add_argument("--degree", type=int, required=True, help="degree of the generic class")
-
-    p = add("verify", _cmd_verify, "check the Steenrod axioms on a module")
-    p.add_argument(
-        "--module",
-        required=True,
-        help="builtin expression (s3, rp8, wedge(s5,s3), susp(cp2)) or a .json file",
-    )
-    p.add_argument("--max-degree", type=int, required=True)
-
-    p = add("faithful", _cmd_faithful, "compare action rank with the admissible basis size")
-    p.add_argument("--degree", type=int, required=True)
-
-    add("distinguish-pi4", _cmd_distinguish, "run the Sq^2 comparison showing π₄(S³) ≠ 0")
-
-    return parser
+def _parse(argv: list[str]) -> SimpleNamespace | str:
+    """The arguments the ``_cmd_*`` functions read, or the text -h/--help asks for."""
+    command, *tokens = argv or [""]
+    if command in ("-h", "--help"):
+        return _help(None)
+    if command not in _COMMANDS:
+        got = f" (got {command!r})" if argv else ""
+        raise ValueError(f"expected a command: {', '.join(_COMMANDS)}{got}")
+    func, _, arguments = _COMMANDS[command]
+    options = {**arguments, **_COMMON}
+    attrs = {name: name.lstrip("-").replace("-", "_") for name in options}
+    args = SimpleNamespace(func=func, **{attrs[name]: default for name, (_, default, _) in options.items()})
+    positional = [name for name in arguments if name[0] != "-"]
+    tokens = iter(tokens)
+    for token in tokens:
+        if not _OPTION_RE.match(token):
+            if not positional:
+                raise ValueError(f"unrecognized argument {token!r}")
+            name, value = positional.pop(0), token
+        else:
+            name, eq, value = ("--help" if token == "-h" else token).partition("=")
+            found = [name] if name in options else [option for option in options if option.startswith(name)]
+            if len(found) != 1:
+                raise ValueError(f"{'ambiguous' if found else 'unrecognized'} option {name!r}")
+            name = found[0]
+            if options[name][0] is None:  # a flag
+                if eq:
+                    raise ValueError(f"option {name} takes no value")
+                if name == "--help":
+                    return _help(command)
+                args.json = True
+                continue
+            if not eq:
+                value = next(tokens, "--")  # as if the next token were an option
+                if _OPTION_RE.match(value):
+                    raise ValueError(f"option {name} needs a value")
+        convert = options[name][0]
+        try:
+            setattr(args, attrs[name], convert(value))
+        except ValueError:
+            raise ValueError(f"option {name}: invalid {convert.__name__} value {value!r}") from None
+    missing = [name for name in options if getattr(args, attrs[name]) is _REQUIRED]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_USAGE
-    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            print(args)
+            return EXIT_OK
         if getattr(args, "degree", getattr(args, "max_degree", 0)) > MAX_DEGREE:
             raise ValueError(f"degree must be at most {MAX_DEGREE}")
         code, lines, payload = args.func(args)

@@ -23,19 +23,21 @@ offending position.
 
 Each Sq or polynomial term is read with one regular-expression match
 and one ``findall``; a term is re-read factor by factor only to report
-an error at the column a token-by-token scan would give.  The module
-layer is imported only when a module expression is parsed
-(``GradedModule`` in the annotations is ``steenrod.modules.GradedModule``).
+an error at the column a token-by-token scan would give.  The
+polynomial layer is imported only when a polynomial is parsed, and the
+module layer only when a module expression is (``Monomial`` and
+``PolyElement`` in the annotations are from ``steenrod.poly``,
+``GradedModule`` is ``steenrod.modules.GradedModule``).
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Callable
+from functools import cache, partial
 
 from .adem import AdemElement, Word
 from .f2 import F2Sum
-from .poly import Monomial, PolyElement, make_monomial
 
 
 class ParseError(ValueError):
@@ -145,10 +147,19 @@ def _read_word(text: str, m: re.Match) -> Word:
 
 def parse_poly(text: str) -> PolyElement:
     """Parse a polynomial over F2[t1..tk]; duplicate monomials cancel."""
-    return _parse_sum(text, _MONO_RE, _read_mono, PolyElement, "polynomial", _FACTOR_MISSING)
+    cls, read_mono = _poly_layer()
+    return _parse_sum(text, _MONO_RE, read_mono, cls, "polynomial", _FACTOR_MISSING)
 
 
-def _read_mono(text: str, m: re.Match) -> Monomial:
+@cache
+def _poly_layer() -> tuple[type[PolyElement], Callable[[str, re.Match], Monomial]]:
+    """``PolyElement`` and the monomial reader, importing ``poly`` on the first call only."""
+    from .poly import PolyElement, make_monomial
+
+    return PolyElement, partial(_read_mono, make_monomial)
+
+
+def _read_mono(make_monomial: Callable[..., Monomial], text: str, m: re.Match) -> Monomial:
     try:  # the term '1' has no factors; make_monomial refuses t0
         if m[2] is None:
             return make_monomial((int(i), int(e or 1)) for i, e in _FACTOR_RE.findall(m[1] or ""))

@@ -399,18 +399,22 @@ def test_verify_rejects_a_module_expression_above_the_entry_bound(capsys):
 
 def test_cli_import_does_not_load_dataclasses_or_inspect():
     # Start-up loads only the rewriting layer, and a subcommand only the layers it calls.
-    unused = "{'dataclasses', 'inspect', 'pathlib', 'random', 'typing'}"
+    # No argument parsing library either: argparse alone loaded gettext, locale and shutil.
+    unused = "{'argparse', 'dataclasses', 'gettext', 'inspect', 'locale', 'pathlib', 'random', 'shutil', 'typing'}"
     probe = f"""
 import sys, steenrod.cli
 ours = lambda: sorted(m for m in sys.modules if m.startswith("steenrod"))
 print(sorted({unused} & set(sys.modules)), ours())
 steenrod.cli.main(["basis", "--degree", "3"])
 print(ours())
+steenrod.cli.main(["normalize", "Sq2 Sq2"])
+print(ours())
 """
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
     start_up = "['steenrod', 'steenrod.adem', 'steenrod.cli', 'steenrod.f2']"
-    assert out.stdout.splitlines() == [f"[] {start_up}", "Sq3", "Sq2 Sq1", start_up]
+    normalize = "['steenrod', 'steenrod.adem', 'steenrod.cli', 'steenrod.f2', 'steenrod.parsing']"
+    assert out.stdout.splitlines() == [f"[] {start_up}", "Sq3", "Sq2 Sq1", start_up, "Sq3 Sq1", normalize]
 
 
 # Apt values and junk of each kind; degrees stay small, so that no call takes seconds.
@@ -433,7 +437,7 @@ _OPTIONS = {
 }
 _OPTION_NAMES = {option for options in _OPTIONS.values() for option in options if option}
 _TOKENS = st.sampled_from(
-    sorted({*_OPTIONS, *_OPTION_NAMES, "--json", "--help", *_INTS, *_WORDS, *_POLYS, *_MODULES})
+    sorted({*_OPTIONS, *_OPTION_NAMES, "--json", "--help", "-h", *_INTS, *_WORDS, *_POLYS, *_MODULES})
 )
 
 
@@ -499,3 +503,81 @@ def test_every_argv_gives_a_documented_exit_code(module_files, argv):
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), argv
     if code == cli.EXIT_USAGE:
         assert out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), argv
+    if argv and (argv[0] in ("-h", "--help") or argv[0] in _OPTIONS and argv[1:2] in (["-h"], ["--help"])):
+        assert code == cli.EXIT_OK and out.startswith("usage: steenrod ") and err == "", argv
+
+
+# What argparse parsed each command line into, before the table parser replaced it.
+_PARSED = [
+    (["normalize", "Sq2 Sq2", "--step-budget", "5"], {"expr": "Sq2 Sq2", "step_budget": 5, "json": False}),
+    (["normalize", "Sq2 Sq2", "--step-budget=5"], {"expr": "Sq2 Sq2", "step_budget": 5, "json": False}),
+    (["normalize", "--step-budget", "5", "Sq2 Sq2"], {"expr": "Sq2 Sq2", "step_budget": 5, "json": False}),
+    (["normalize", "--json", "Sq2 Sq2", "--step-budget", "5"], {"expr": "Sq2 Sq2", "step_budget": 5, "json": True}),
+    (["normalize", "--step-budget", "5", "--json", "Sq2 Sq2"], {"expr": "Sq2 Sq2", "step_budget": 5, "json": True}),
+    (["normalize", "Sq1"], {"expr": "Sq1", "step_budget": cli.DEFAULT_STEP_BUDGET, "json": False}),
+    (["normalize", "Sq1", "--step-budget", "5", "--step-budget", "7"], {"expr": "Sq1", "step_budget": 7, "json": False}),
+    (["normalize", "Sq1", "--step-budget", "-1"], {"expr": "Sq1", "step_budget": -1, "json": False}),
+    (["normalize", "-1"], {"expr": "-1", "step_budget": cli.DEFAULT_STEP_BUDGET, "json": False}),
+    (
+        ["act", "--on", "t1", "--op", "Sq1", "--json", "--vars", "2", "--op", "Sq2"],
+        {"op": "Sq2", "on": "t1", "vars": 2, "json": True},
+    ),
+    (["act", "--op", "Sq1", "--on", "t1"], {"op": "Sq1", "on": "t1", "vars": None, "json": False}),
+    (["total-square", "--on", "t1", "--var=-x"], {"on": "t1", "var": "-x", "json": False}),
+    (["basis", "--degree", "-1"], {"degree": -1, "json": False}),
+    (["basis", "--deg", "5"], {"degree": 5, "json": False}),
+    (["basis", "--degree", " 5 "], {"degree": 5, "json": False}),
+    (["derive-adem", "--json", "--degree=3"], {"degree": 3, "json": True}),
+    (["verify", "--module", "s3", "--max", "3"], {"module": "s3", "max_degree": 3, "json": False}),
+    (["verify", "--mod=s3", "--max-degree=3", "--js"], {"module": "s3", "max_degree": 3, "json": True}),
+    (["faithful", "--degree", "4"], {"degree": 4, "json": False}),
+    (["distinguish-pi4", "--json"], {"json": True}),
+]
+
+
+@pytest.mark.parametrize("argv, parsed", _PARSED, ids=[" ".join(argv) for argv, _ in _PARSED])
+def test_parse_gives_what_argparse_gave(argv, parsed):
+    args = cli._parse(argv)
+    assert args.func is cli._COMMANDS[argv[0]][0]
+    assert {name: value for name, value in vars(args).items() if name not in ("func", "help")} == parsed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["act", "--o", "Sq1", "--on", "t1"],  # ambiguous: --op or --on
+        ["act", "--op", "Sq1"],  # --on is required
+        ["normalize", "--step-budget", "3"],  # so is the expression
+        ["act", "--op", "Sq1", "--on", "t1", "--frob"],
+        ["normalize", "Sq1", "Sq2"],
+        ["basis", "--degree", "5", "extra"],
+        ["frobnicate"],
+        ["--json", "basis", "--degree", "3"],
+        [],
+        ["basis", "--degree", "x"],
+        ["basis", "--degree", "2.5"],
+        ["basis", "--degree"],
+        ["basis", "--degree", "--json"],
+        ["basis", "--json=1", "--degree", "3"],
+    ],
+    ids=" ".join,
+)
+def test_usage_errors_give_one_line_and_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["--help"], ["verify", "--help"], ["act", "-h"], ["basis", "--he"], ["normalize", "Sq1", "--help"]],
+    ids=" ".join,
+)
+def test_help_exits_0_on_stdout(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out.startswith("usage: steenrod ")
+    command = argv[0] if argv[0] in cli._COMMANDS else None
+    names = cli._COMMANDS if command is None else [*cli._COMMANDS[command][2], "--json", "--help"]
+    assert all(f"  {name}" in out for name in names)
