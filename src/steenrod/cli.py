@@ -2,14 +2,17 @@
 
 Results go to stdout, diagnostics to stderr.  Every subcommand takes
 ``--json`` for machine-readable output; JSON payloads are emitted with
-sorted keys so identical inputs give byte-identical output.
+sorted keys so identical inputs give byte-identical output.  They are
+written by ``f2.dumps_json``, so that no subcommand loads ``json``, and
+the arguments are read with ``str`` methods, so that none loads ``re``.
 
 Each ``_cmd_*`` function prints nothing: it returns its exit code, its
 text lines and a zero-argument builder of its JSON payload.  ``main``
 is the one place that writes to stdout.  It calls the builder only
 under ``--json`` and walks the text lines only without it, so text
 mode builds no payload; ``derive-adem`` yields its lines from a
-generator, so JSON mode formats none of them.
+generator, so JSON mode formats none of them.  A reader that closes
+stdout early does not change the exit code and gets no error message.
 
 The command-line syntax is one table, ``_COMMANDS``, of each
 subcommand's function, help and arguments: ``_parse`` reads argv with
@@ -28,14 +31,13 @@ recursion depth exhausted.
 
 from __future__ import annotations
 
-import json
 import os
-import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from types import SimpleNamespace
 
 from .adem import DEFAULT_STEP_BUDGET, StepBudgetExceeded
+from .f2 import dumps_json
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -118,11 +120,11 @@ def _cmd_total_square(args: SimpleNamespace) -> Result:
     fresh = max(target.variables(), default=0) + 1
     if args.var is None:
         var = fresh
-    elif re.fullmatch(r"t?(\d+)", args.var):
-        var = int(args.var.lstrip("t"))
+    elif args.var.removeprefix("t").isdecimal():
+        var = int(args.var.removeprefix("t"))
         if var < 1:
             raise ValueError(f"variables are numbered from t1 (got {args.var!r})")
-    elif re.fullmatch(r"[A-Za-z]\w*", args.var):
+    elif args.var[:1].isascii() and args.var[:1].isalpha() and args.var.replace("_", "a").isalnum():
         var = fresh  # a symbolic name like 'u' stands for the next unused index
     else:
         raise ValueError(f"--var must be a name or an index like t4 (got {args.var!r})")
@@ -243,7 +245,11 @@ _COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], Result], str, dict[str, t
     "distinguish-pi4": (_cmd_distinguish, "run the Sq^2 comparison showing π₄(S³) ≠ 0", {}),
 }
 _COMMON = {"--json": (None, False, "emit JSON on stdout"), "--help": (None, False, "show this help (or -h)")}
-_OPTION_RE = re.compile(r"-(?!\d+\Z).")  # -1 is a value, not an option
+
+
+def _is_option(token: str) -> bool:
+    """Whether a token names an option: '-' and more, but not a negative number like -1."""
+    return token[:1] == "-" and token[1:2] not in ("", "\n") and not token[1:].isdecimal()
 
 
 def _help(command: str | None) -> str:
@@ -276,7 +282,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | str:
     positional = [name for name in arguments if name[0] != "-"]
     tokens = iter(tokens)
     for token in tokens:
-        if not _OPTION_RE.match(token):
+        if not _is_option(token):
             if not positional:
                 raise ValueError(f"unrecognized argument {token!r}")
             name, value = positional.pop(0), token
@@ -295,7 +301,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | str:
                 continue
             if not eq:
                 value = next(tokens, "--")  # as if the next token were an option
-                if _OPTION_RE.match(value):
+                if _is_option(value):
                     raise ValueError(f"option {name} needs a value")
         convert = options[name][0]
         try:
@@ -312,16 +318,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
         if isinstance(args, str):
-            print(args)
-            return EXIT_OK
-        if getattr(args, "degree", getattr(args, "max_degree", 0)) > MAX_DEGREE:
+            code, lines = EXIT_OK, [args]
+        elif getattr(args, "degree", getattr(args, "max_degree", 0)) > MAX_DEGREE:
             raise ValueError(f"degree must be at most {MAX_DEGREE}")
-        code, lines, payload = args.func(args)
-        if args.json:
-            print(json.dumps(payload(), sort_keys=True, indent=2))
         else:
+            code, lines, payload = args.func(args)
+            if args.json:
+                lines = [dumps_json(payload())]
+        try:
             for line in lines:
                 print(line)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader has gone; point stdout at devnull so exit flushes nothing
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     except StepBudgetExceeded as err:
         print(f"error: {err}", file=sys.stderr)

@@ -13,6 +13,7 @@ construction, comparison and ``repr`` once.  ``F2Sum`` also orders and
 prints every sum: its terms in each class's canonical order, joined by
 `` + ``, or ``0`` for zero.  :func:`act_word` applies
 a word of squares to a sum of terms for every action in the package.
+:func:`dumps_json` writes every JSON document the package emits.
 """
 
 from __future__ import annotations
@@ -156,3 +157,40 @@ class Record:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(map(repr, self._values()))})"
+
+
+_JSON_ESCAPES = {"\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+
+
+def _json_escape(char: str) -> str:
+    """A character outside printable ASCII as JSON writes it; above U+FFFF, a surrogate pair."""
+    code = ord(char)
+    if code > 0xFFFF:
+        return _json_escape(chr(0xD800 | (code - 0x10000) >> 10)) + _json_escape(chr(0xDC00 | code & 0x3FF))
+    return _JSON_ESCAPES.get(char) or "\\u%04x" % code
+
+
+def dumps_json(value: object, _newline: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` of dicts with ``str`` keys, lists, tuples,
+    ``str``, ``int``, ``bool`` and ``None``, without loading ``json``; other values raise TypeError.
+    """
+    if isinstance(value, str):
+        text = value.replace("\\", "\\\\").replace('"', '\\"')
+        if not (text.isascii() and text.isprintable()):
+            text = "".join(char if " " <= char <= "~" else _json_escape(char) for char in text)
+        return f'"{text}"'
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = _newline + "  "
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("dumps_json writes only str keys")
+        items = [f"{dumps_json(key)}: {dumps_json(value[key], inner)}" for key in sorted(value)]
+    elif isinstance(value, (list, tuple)):
+        items = [dumps_json(item, inner) for item in value]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    left, right = "{}" if isinstance(value, dict) else "[]"
+    return f"{left}{inner}{(',' + inner).join(items)}{_newline}{right}" if items else left + right

@@ -25,7 +25,8 @@ deliberately wrong action table still loads and can be reported on.
 A ``"unit"`` key loads only if it is ``null``: a module has no unit class.
 
 Serialization is canonical: sorted keys, sorted lists, two-space
-indent.  load(save(M)) reproduces the module exactly.
+indent, as ``f2.dumps_json`` writes every JSON document of the package.
+load(save(M)) reproduces the module exactly.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import json
 import os
 import re
 
+from .f2 import dumps_json
 from .modules import GradedModule, pair_key
 
 _ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -134,7 +136,7 @@ def module_from_dict(doc: dict) -> GradedModule:
 
 
 def dumps(module: GradedModule) -> str:
-    return json.dumps(module_to_dict(module), sort_keys=True, indent=2) + "\n"
+    return dumps_json(module_to_dict(module)) + "\n"
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -21,18 +21,18 @@ Whitespace is free around tokens.  As an extension, the single token
 printing and parsing round-trip on every element.  Errors carry the
 offending position.
 
-Each Sq or polynomial term is read with one regular-expression match
-and one ``findall``; a term is re-read factor by factor only to report
-an error at the column a token-by-token scan would give.  The
-polynomial layer is imported only when a polynomial is parsed, and the
-module layer only when a module expression is (``Monomial`` and
-``PolyElement`` in the annotations are from ``steenrod.poly``,
-``GradedModule`` is ``steenrod.modules.GradedModule``).
+A valid Sq or polynomial text is read with ``str`` methods: split at
+each '+', each term split at each 'Sq' or '*'.  A text any term of which
+does not read is scanned again one token at a time, so that the first
+error is raised at its column.  The polynomial layer is imported only
+when a polynomial is parsed, and the module layer only when a module
+expression is (``Monomial`` and ``PolyElement`` in the annotations are
+from ``steenrod.poly``, ``GradedModule`` is
+``steenrod.modules.GradedModule``).
 """
 
 from __future__ import annotations
 
-import re
 from collections.abc import Callable
 from functools import cache, partial
 
@@ -48,16 +48,6 @@ class ParseError(ValueError):
         self.message = message
         self.position = position
 
-
-_WS_RE = re.compile(r"\s*")
-_NAT_RE = re.compile(r"\d+")
-_FACTOR_RE = re.compile(r"t(\d+)(?:\s*\^\s*(\d+))?")
-#: One term with the whitespace around it.  A monomial match also takes a
-#: '*' or '^' left dangling after its factors (group 2), to name what is missing.
-_SQ_TERM_RE = re.compile(r"\s*(?:1|(Sq\d+(?:\s*Sq\d+)*))\s*")
-_MONO_RE = re.compile(r"\s*(?:1|(t\d+(?:\s*\^\s*\d+)?(?:\s*\*\s*t\d+(?:\s*\^\s*\d+)?)*)(?:\s*([*^]))?)\s*")
-_FACTOR_MISSING = "expected a factor like t1 or t2^3"
-_SPACE_RE = re.compile(r"(rp|cp|s)(\d+)")
 
 #: Deepest wedge/susp nesting parse_module accepts; the parser recurses
 #: once per level, so this keeps it far from the interpreter's limit.
@@ -76,102 +66,135 @@ _MAX_MODULE_ENTRIES = 1 << 17
 
 
 class _Scanner:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
+    """A position in ``text``; whitespace is skipped before each token."""
 
-    def skip_ws(self) -> None:
-        self.pos = _WS_RE.match(self.text, self.pos).end()
+    def __init__(self, text: str) -> None:
+        self.text, self.pos = text, 0
+
+    def skip_ws(self) -> int:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.pos
 
     def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+        return self.skip_ws() == len(self.text)
 
     def take(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
+        if self.text.startswith(literal, self.skip_ws()):
             self.pos += len(literal)
             return True
         return False
 
-    def match(self, pattern: re.Pattern) -> re.Match | None:
-        self.skip_ws()
-        m = pattern.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-        return m
+    def digits(self, prefix: str = "") -> str:
+        """The decimal digits after ``prefix``, taken with it; '' (nothing taken) if none follow."""
+        start = end = self.skip_ws() + len(prefix)
+        if self.text.startswith(prefix, self.pos):
+            while end < len(self.text) and self.text[end].isdecimal():
+                end += 1
+        if end > start:
+            self.pos = end
+        return self.text[start:end]
 
     def error(self, message: str) -> ParseError:
-        self.skip_ws()
-        return ParseError(message, self.pos)
+        return ParseError(message, self.skip_ws())
 
 
-def _parse_sum(
-    text: str, term_re: re.Pattern, read_term: Callable, cls: type[F2Sum], what: str, missing: str
-) -> F2Sum:
+def _parse_sum(text: str, read_term: Callable, scan_term: Callable, cls: type[F2Sum], what: str) -> F2Sum:
     """A '+'-separated sum of terms, or the single token ``0``; duplicate terms cancel.
 
-    ``term_re`` matches one term with the whitespace around it; ``read_term`` reads it off.
+    ``read_term`` reads a term and the whitespace around it, and raises
+    ValueError on anything else.  Then ``scan_term`` reads the terms off a
+    scanner instead, so that the first error is raised at its column.
     """
     if text.strip() == "0":
         return cls(frozenset())
     terms: set = set()
-    pos = 0
-    while m := term_re.match(text, pos):
-        terms ^= {read_term(text, m)}
-        pos = m.end()
-        if pos == len(text):
+    try:
+        for term in text.split("+"):
+            terms ^= {read_term(term)}
+        return cls(frozenset(terms))
+    except ValueError:
+        terms.clear()
+    scanner = _Scanner(text)
+    while True:
+        terms ^= {scan_term(scanner)}
+        if scanner.at_end():
             return cls(frozenset(terms))
-        if text[pos] != "+":
-            raise ParseError(f"expected '+' or end of {what}", pos)
-        pos += 1
-    raise ParseError(missing, _WS_RE.match(text, pos).end())
+        if not scanner.take("+"):
+            raise scanner.error(f"expected '+' or end of {what}")
 
 
 def parse_sq(text: str) -> AdemElement:
     """Parse a Sq expression; duplicate terms cancel mod 2."""
-    missing = "expected a term: '1' or a sequence of SqN factors"
-    return _parse_sum(text, _SQ_TERM_RE, _read_word, AdemElement, "expression", missing)
+    return _parse_sum(text, _read_word, _scan_word, AdemElement, "expression")
 
 
-def _read_word(text: str, m: re.Match) -> Word:
-    try:  # the term '1' has no factors
-        if 0 not in (word := tuple(map(int, _NAT_RE.findall(m[1] or "")))):
-            return word
-    except ValueError:  # a number too long for int(); raised below, in text order
-        pass
-    for number in _NAT_RE.finditer(text, *m.span(1)):
-        if int(number[0]) == 0:
-            raise ParseError("Sq0 is not allowed; write 1 for the identity", number.start() - len("Sq"))
+def _read_word(term: str) -> Word:
+    head, *numbers = term.split("Sq")
+    if not numbers and head.strip() == "1":
+        return ()
+    numbers = [number.rstrip() for number in numbers]
+    word = tuple(map(int, numbers))  # '' and a number too long for int() raise here
+    if not word or head.strip() or not "".join(numbers).isdecimal() or 0 in word:
+        raise ValueError(term)
+    return word
+
+
+def _scan_word(scanner: _Scanner) -> Word:
+    if scanner.take("1"):
+        return ()
+    word = []
+    while number := scanner.digits("Sq"):
+        word.append(int(number))
+        if not word[-1]:
+            raise ParseError("Sq0 is not allowed; write 1 for the identity", scanner.pos - len("Sq" + number))
+    if not word:
+        raise scanner.error("expected a term: '1' or a sequence of SqN factors")
+    return tuple(word)
 
 
 def parse_poly(text: str) -> PolyElement:
     """Parse a polynomial over F2[t1..tk]; duplicate monomials cancel."""
-    cls, read_mono = _poly_layer()
-    return _parse_sum(text, _MONO_RE, read_mono, cls, "polynomial", _FACTOR_MISSING)
+    return _parse_sum(text, *_poly_layer(), "polynomial")
 
 
 @cache
-def _poly_layer() -> tuple[type[PolyElement], Callable[[str, re.Match], Monomial]]:
-    """``PolyElement`` and the monomial reader, importing ``poly`` on the first call only."""
+def _poly_layer() -> tuple[Callable[[str], Monomial], Callable[[_Scanner], Monomial], type[PolyElement]]:
+    """The two monomial readers and ``PolyElement``, importing ``poly`` on the first call only."""
     from .poly import PolyElement, make_monomial
 
-    return PolyElement, partial(_read_mono, make_monomial)
+    return partial(_read_mono, make_monomial), partial(_scan_mono, make_monomial), PolyElement
 
 
-def _read_mono(make_monomial: Callable[..., Monomial], text: str, m: re.Match) -> Monomial:
-    try:  # the term '1' has no factors; make_monomial refuses t0
-        if m[2] is None:
-            return make_monomial((int(i), int(e or 1)) for i, e in _FACTOR_RE.findall(m[1] or ""))
-    except ValueError:  # t0, or a number too long for int(); raised below, in text order
-        pass
-    for factor in _FACTOR_RE.finditer(text, *m.span(1)):
-        if int(factor[1]) == 0:
-            raise ParseError("variables are numbered from t1", factor.start())
-        int(factor[2] or 1)  # an exponent too long for int() raises here
-    if m[2] == "*" or factor[2] is None:
-        raise ParseError(_FACTOR_MISSING if m[2] == "*" else "expected an exponent after '^'", m.end())
-    raise ParseError("expected '+' or end of polynomial", m.start(2))
+def _read_mono(make_monomial: Callable[..., Monomial], term: str) -> Monomial:
+    if term.strip() == "1":
+        return ()
+    factors = []
+    for factor in term.split("*"):
+        var, caret, exp = factor.partition("^")
+        var, exp = var.strip(), exp.strip() if caret else "1"
+        if var[:1] != "t" or not (var[1:] + exp).isdecimal():
+            raise ValueError(term)
+        factors.append((int(var[1:]), int(exp)))  # '' and a number too long for int() raise here
+    return make_monomial(factors)  # refuses t0
+
+
+def _scan_mono(make_monomial: Callable[..., Monomial], scanner: _Scanner) -> Monomial:
+    if scanner.take("1"):
+        return ()
+    factors = []
+    while True:
+        index = scanner.digits("t")
+        if not index:
+            raise scanner.error("expected a factor like t1 or t2^3")
+        if int(index) == 0:
+            raise ParseError("variables are numbered from t1", scanner.pos - len("t" + index))
+        exp = scanner.digits() if scanner.take("^") else "1"
+        if not exp:
+            raise scanner.error("expected an exponent after '^'")
+        factors.append((int(index), int(exp)))
+        if not scanner.take("*"):
+            return make_monomial(factors)
 
 
 def parse_module(text: str) -> GradedModule:
@@ -193,8 +216,7 @@ def _parse_module_expr(scanner: _Scanner, depth: int, built: int) -> tuple[Grade
 
     if depth > _MAX_MODULE_NESTING:
         raise scanner.error(f"module expression nested deeper than {_MAX_MODULE_NESTING} levels")
-    scanner.skip_ws()
-    start = scanner.pos
+    start = scanner.skip_ws()
     if scanner.take("wedge("):
         left, built = _parse_module_expr(scanner, depth + 1, built)
         if not scanner.take(","):
@@ -209,14 +231,16 @@ def _parse_module_expr(scanner: _Scanner, depth: int, built: int) -> tuple[Grade
             raise scanner.error("expected ')'")
         module = suspend(inner)
     else:
-        m = scanner.match(_SPACE_RE)
-        if not m:
+        for name, build in (("rp", real_proj), ("cp", complex_proj), ("s", sphere)):
+            if digits := scanner.digits(name):
+                break
+        else:
             raise scanner.error("expected s<n>, rp<n>, cp<n>, wedge(...) or susp(...)")
         try:
-            n = int(m.group(2))
+            n = int(digits)
             if n > _MAX_MODULE_DIMENSION:
                 raise ValueError(f"dimension must be at most {_MAX_MODULE_DIMENSION}")
-            module = {"s": sphere, "rp": real_proj, "cp": complex_proj}[m.group(1)](n)
+            module = build(n)
         except ValueError as err:
             raise ParseError(str(err), start) from None
     built += len(module.generators) + len(module.sq) + len(module.products)

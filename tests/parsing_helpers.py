@@ -1,9 +1,9 @@
 """The token-by-token Sq and polynomial parsers that the tests use as an oracle.
 
 :func:`steenrod.parsing.parse_sq` and :func:`steenrod.parsing.parse_poly`
-read each term with one regular-expression match.  The parsers here
-read the same grammars one token at a time through the module parser's
-``_Scanner``, skipping whitespace before every token, so each error is
+split a valid text with ``str`` methods.  The parsers here read the same
+grammars one token at a time with regular expressions, through a scanner
+of their own that skips whitespace before every token, so each error is
 raised where the scan first fails.  The tests check that both give the
 same element, or the same error message at the same column.
 """
@@ -15,12 +15,46 @@ from collections.abc import Callable, Hashable
 
 from steenrod.adem import AdemElement, Word
 from steenrod.f2 import F2Sum
-from steenrod.parsing import ParseError, _Scanner
+from steenrod.parsing import ParseError
 from steenrod.poly import Monomial, PolyElement, make_monomial
 
+_WS_RE = re.compile(r"\s*")
 _SQ_RE = re.compile(r"Sq(\d+)")
 _VAR_RE = re.compile(r"t(\d+)")
 _NAT_RE = re.compile(r"\d+")
+
+
+class _Scanner:
+    """A position in ``text``; whitespace is skipped before each token."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self) -> None:
+        self.pos = _WS_RE.match(self.text, self.pos).end()
+
+    def at_end(self) -> bool:
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+    def take(self, literal: str) -> bool:
+        self.skip_ws()
+        if self.text.startswith(literal, self.pos):
+            self.pos += len(literal)
+            return True
+        return False
+
+    def match(self, pattern: re.Pattern) -> re.Match | None:
+        self.skip_ws()
+        m = pattern.match(self.text, self.pos)
+        if m:
+            self.pos = m.end()
+        return m
+
+    def error(self, message: str) -> ParseError:
+        self.skip_ws()
+        return ParseError(message, self.pos)
 
 
 def _reference_sum(

@@ -415,6 +415,40 @@ print(ours())
     start_up = "['steenrod', 'steenrod.adem', 'steenrod.cli', 'steenrod.f2']"
     normalize = "['steenrod', 'steenrod.adem', 'steenrod.cli', 'steenrod.f2', 'steenrod.parsing']"
     assert out.stdout.splitlines() == [f"[] {start_up}", "Sq3", "Sq2 Sq1", start_up, "Sq3 Sq1", normalize]
+    # Nor does any builtin subcommand load re, json or enum, --json included.
+    calls = [
+        ["normalize", "Sq2 Sq2"],
+        ["basis", "--degree", "5"],
+        ["act", "--op", "Sq2 Sq1", "--on", "t1^2*t2"],
+        ["total-square", "--on", "t1*t2"],
+        ["derive-adem", "--degree", "5"],
+        ["faithful", "--degree", "5"],
+        ["distinguish-pi4"],
+        ["verify", "--module", "wedge(rp3,cp2)", "--max-degree", "8"],
+    ]
+    probe = f"""
+import os, sys, steenrod.cli
+sys.stdout = open(os.devnull, "w")
+codes = [steenrod.cli.main(argv + ["--json"]) for argv in {calls}]
+sys.stdout = sys.__stdout__
+print(codes, sorted({{"re", "json", "enum"}} & set(sys.modules)))
+"""
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[0, 0, 0, 0, 1, 0, 0, 0] []\n"
+
+
+def test_a_closed_stdout_is_not_a_usage_error():
+    # The reader of a pipe stops after 10 bytes: the command keeps its own exit
+    # code (1: degree-local relations), and nothing reaches stderr, not even at exit.
+    argv = [sys.executable, "-m", "steenrod.cli", "derive-adem", "--degree", "60"]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    for json_flag in (["--json"], []):
+        process = subprocess.Popen(argv + json_flag, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(process.stdout.read(10)) == 10
+        process.stdout.close()
+        assert process.wait(timeout=60) == 1
+        assert process.stderr.read() == b""
+        process.stderr.close()
 
 
 # Apt values and junk of each kind; degrees stay small, so that no call takes seconds.

@@ -1,12 +1,14 @@
 """Parity arithmetic against a Pascal-triangle oracle, F2-sum laws, the word fold, and the F2Sum and Record bases."""
 
+import json
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steenrod.adem import AdemElement, Sq
 from steenrod.derive import RelationCertificate
-from steenrod.f2 import F2Sum, Record, act_word, adem_coeff, binom_mod2, common_degree
+from steenrod.f2 import F2Sum, Record, act_word, adem_coeff, binom_mod2, common_degree, dumps_json
 from steenrod.modules import AxiomFailure, ModuleElement, Pi4Report, VerifyReport, real_proj
 from steenrod.parsing import parse_poly
 from steenrod.poly import PolyElement
@@ -268,3 +270,39 @@ def test_records_are_unhashable(cls):
 def test_record_repr_lists_the_fields_in_order():
     assert repr(AxiomFailure("(I1)", "t1", "d")) == "AxiomFailure('(I1)', 't1', 'd')"
     assert repr(VerifyReport("s1", 2, 3, ())) == "VerifyReport('s1', 2, 3, ())"
+
+
+# All of Unicode, lone surrogates included, or only characters that JSON escapes.
+_JSON_TEXT = st.text(st.characters(exclude_categories=())) | st.text('"\\\x00\x1f\x7f\b\f\n\r\t\u00e9\U0001f600\ud800')
+# Ints of 4300 digits, the most int() converts to text by default, and of 5000, too many.
+_LONG_INTS = st.builds(lambda digits, sign: sign * 10 ** (digits - 1), st.sampled_from([4300, 5000]), st.sampled_from([1, -1]))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _LONG_INTS | _JSON_TEXT,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_JSON_TEXT, inner),
+    max_leaves=30,
+)
+
+
+def _written(write, value):
+    """What a writer gives: its text, or the type and wording of its error."""
+    try:
+        return write(value)
+    except ValueError as err:  # an int past sys.get_int_max_str_digits()
+        return (type(err), str(err))
+
+
+@settings(max_examples=300)
+@given(_JSON_VALUES)
+def test_dumps_json_writes_what_json_dumps_writes(value):
+    expected = _written(lambda v: json.dumps(v, sort_keys=True, indent=2), value)
+    assert _written(dumps_json, value) == expected
+
+
+def test_dumps_json_examples():
+    assert dumps_json({"b": [True, False, None], "a": {}, "c": ((), -1)}) == (
+        '{\n  "a": {},\n  "b": [\n    true,\n    false,\n    null\n  ],\n  "c": [\n    [],\n    -1\n  ]\n}'
+    )
+    assert dumps_json('"\\\x7f\U0001f600\ud800π') == '"\\"\\\\\\u007f\\ud83d\\ude00\\ud800\\u03c0"'
+    for unwritten in [{"a": 1.5}, {1: "a"}, {"a": {None: 1}}, [{"a"}]]:
+        with pytest.raises(TypeError):
+            dumps_json(unwritten)

@@ -362,6 +362,12 @@ def test_module_file_round_trip_past_nine_generators():
     assert modfile.dumps(modfile.loads(text)) == text
 
 
+def test_module_file_text_is_what_json_dumps_writes():
+    for module in [*full_verification_catalog(), real_proj(40)]:
+        expected = json.dumps(modfile.module_to_dict(module), sort_keys=True, indent=2) + "\n"
+        assert modfile.dumps(module) == expected, module.name
+
+
 def test_module_file_loads_semantically_wrong_tables():
     # structure-only validation: a wrong action table loads, verify reports it
     bad = corrupted_rp4()
