@@ -147,8 +147,13 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def loads(text: str) -> GradedModule:
-    return module_from_dict(json.loads(text, object_pairs_hook=_unique_keys))
+    if text.startswith("\ufeff"):  # refused as json.loads refuses it
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return module_from_dict(_DECODER.decode(text))
 
 
 def save(module: GradedModule, path: str | os.PathLike) -> None:

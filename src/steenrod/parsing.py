@@ -19,7 +19,8 @@ Module expressions, naming the builtin constructors::
 Whitespace is free around tokens.  As an extension, the single token
 ``0`` denotes the zero element in the Sq and polynomial grammars, so
 printing and parsing round-trip on every element.  Errors carry the
-offending position.
+offending position; a number with more digits than ``int()`` reads
+(``sys.get_int_max_str_digits()``) is an error at its first digit.
 
 A valid Sq or polynomial text is read with ``str`` methods: split at
 each '+', each term split at each 'Sq' or '*'.  A text any term of which
@@ -33,6 +34,7 @@ from ``steenrod.poly``, ``GradedModule`` is
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable
 from functools import cache, partial
 
@@ -95,6 +97,14 @@ class _Scanner:
             self.pos = end
         return self.text[start:end]
 
+    def nat(self, digits: str) -> int:
+        """The value of ``digits``, just taken; a ParseError at their column if int() refuses that many."""
+        try:
+            return int(digits)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(f"numbers are limited to {limit} digits", self.pos - len(digits)) from None
+
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.skip_ws())
 
@@ -145,7 +155,7 @@ def _scan_word(scanner: _Scanner) -> Word:
         return ()
     word = []
     while number := scanner.digits("Sq"):
-        word.append(int(number))
+        word.append(scanner.nat(number))
         if not word[-1]:
             raise ParseError("Sq0 is not allowed; write 1 for the identity", scanner.pos - len("Sq" + number))
     if not word:
@@ -184,15 +194,16 @@ def _scan_mono(make_monomial: Callable[..., Monomial], scanner: _Scanner) -> Mon
         return ()
     factors = []
     while True:
-        index = scanner.digits("t")
-        if not index:
+        digits = scanner.digits("t")
+        if not digits:
             raise scanner.error("expected a factor like t1 or t2^3")
-        if int(index) == 0:
-            raise ParseError("variables are numbered from t1", scanner.pos - len("t" + index))
+        index = scanner.nat(digits)
+        if index == 0:
+            raise ParseError("variables are numbered from t1", scanner.pos - len("t" + digits))
         exp = scanner.digits() if scanner.take("^") else "1"
         if not exp:
             raise scanner.error("expected an exponent after '^'")
-        factors.append((int(index), int(exp)))
+        factors.append((index, scanner.nat(exp)))
         if not scanner.take("*"):
             return make_monomial(factors)
 
@@ -236,8 +247,8 @@ def _parse_module_expr(scanner: _Scanner, depth: int, built: int) -> tuple[Grade
                 break
         else:
             raise scanner.error("expected s<n>, rp<n>, cp<n>, wedge(...) or susp(...)")
+        n = scanner.nat(digits)
         try:
-            n = int(digits)
             if n > _MAX_MODULE_DIMENSION:
                 raise ValueError(f"dimension must be at most {_MAX_MODULE_DIMENSION}")
             module = build(n)

@@ -11,6 +11,7 @@ same element, or the same error message at the same column.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Callable, Hashable
 
 from steenrod.adem import AdemElement, Word
@@ -57,6 +58,14 @@ class _Scanner:
         return ParseError(message, self.pos)
 
 
+def _number(m: re.Match, group: int) -> int:
+    """The number a match group holds; a ParseError at its first digit if int() refuses that many."""
+    try:
+        return int(m.group(group))
+    except ValueError:
+        raise ParseError(f"numbers are limited to {sys.get_int_max_str_digits()} digits", m.start(group)) from None
+
+
 def _reference_sum(
     text: str, parse_term: Callable[[_Scanner], Hashable], cls: type[F2Sum], what: str
 ) -> F2Sum:
@@ -87,7 +96,7 @@ def _sq_term(scanner: _Scanner) -> Word:
         m = scanner.match(_SQ_RE)
         if not m:
             break
-        value = int(m.group(1))
+        value = _number(m, 1)
         if value == 0:
             raise ParseError("Sq0 is not allowed; write 1 for the identity", start)
         exponents.append(value)
@@ -111,7 +120,7 @@ def _poly_mono(scanner: _Scanner) -> Monomial:
         m = scanner.match(_VAR_RE)
         if not m:
             raise scanner.error("expected a factor like t1 or t2^3")
-        index = int(m.group(1))
+        index = _number(m, 1)
         if index == 0:
             raise ParseError("variables are numbered from t1", start)
         exp = 1
@@ -119,7 +128,7 @@ def _poly_mono(scanner: _Scanner) -> Monomial:
             e = scanner.match(_NAT_RE)
             if not e:
                 raise scanner.error("expected an exponent after '^'")
-            exp = int(e.group(0))
+            exp = _number(e, 0)
         factors.append((index, exp))
         if not scanner.take("*"):
             return make_monomial(factors)

@@ -284,6 +284,20 @@ def test_verify_bad_module_expression(capsys):
     assert "expected" in err
 
 
+@pytest.mark.parametrize(
+    "argv, column",
+    [
+        (["normalize", "Sq" + "1" * 5000], 2),
+        (["act", "--op", "Sq1", "--on", "t1^" + "1" * 5000], 3),
+        (["verify", "--module", "rp" + "1" * 5000, "--max-degree", "3"], 2),
+    ],
+)
+def test_a_number_too_long_for_int_is_a_parse_error_at_its_column(capsys, argv, column):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: numbers are limited to {sys.get_int_max_str_digits()} digits (at column {column})\n"
+
+
 def test_faithful(capsys):
     code, out, _ = run(capsys, "faithful", "--degree", "6")
     assert code == 0
@@ -431,10 +445,11 @@ import os, sys, steenrod.cli
 sys.stdout = open(os.devnull, "w")
 codes = [steenrod.cli.main(argv + ["--json"]) for argv in {calls}]
 sys.stdout = sys.__stdout__
-print(codes, sorted({{"re", "json", "enum"}} & set(sys.modules)))
+print(codes, sorted({{"re", "json", "enum"}} & set(sys.modules)), "random" in sys.modules)
 """
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "[0, 0, 0, 0, 1, 0, 0, 0] []\n"
+    # verify, the last call, loads no random either.
+    assert out.stdout == "[0, 0, 0, 0, 1, 0, 0, 0] [] False\n"
 
 
 def test_a_closed_stdout_is_not_a_usage_error():

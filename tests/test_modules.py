@@ -342,6 +342,20 @@ def test_module_file_unit_may_only_be_null():
             modfile.module_from_dict(_document(unit=unit))
 
 
+def test_module_file_errors_are_those_of_json_loads():
+    # loads shares one decoder across calls; its syntax errors stay
+    # json.loads's, a leading byte order mark included.
+    def error(load, text):
+        try:
+            load(text)
+        except ValueError as err:
+            return str(err)
+
+    text = modfile.dumps(real_proj(3))
+    for bad in ["\ufeff" + text, text[:-9], text.replace('"rp3"', '"rp3",')]:
+        assert error(modfile.loads, bad) == error(json.loads, bad) is not None
+
+
 def test_module_file_rejects_non_string_product_key():
     with pytest.raises(ValueError):
         modfile.module_from_dict(_document(products={("t1", "t1"): ["t2"]}))
@@ -516,7 +530,7 @@ def test_verify_matches_reference_on_the_catalog(max_degree):
 
 
 def test_verify_matches_reference_on_large_models():
-    # Sq1(t5) gains t9, a target in the wrong degree, so rp40_bad evaluates every check.
+    # Sq1(t5) gains t9, a target in the wrong degree, so rp40_bad skips no check for its degree.
     rp40 = real_proj(40)
     rp40_bad = _with(rp40, sq={**rp40.sq, ("t5", 1): rp40.sq[("t5", 1)] ^ {"t9"}}, name="rp40_bad")
     assert {f.axiom for f in verify_axioms(rp40_bad, 40).failures} == {"degree", "(C)", "(A)"}
@@ -563,3 +577,46 @@ def test_verify_matches_reference_at_degree_zero_and_below():
     modules = [point(), sphere(1), real_proj(5), corrupted_rp4(), wedge(real_proj(3), complex_proj(2))]
     _assert_same_reports((m, d) for m in modules for d in (0, -1, -7))
     assert verify_axioms(corrupted_rp4(), -1).checks == len(corrupted_rp4().sq) + len(corrupted_rp4().products)
+
+
+def _planted(module: GradedModule, g: str, h: str, target: str) -> GradedModule:
+    products = {**module.products, pair_key(g, h): frozenset({target})}
+    return _with(module, products=products, name=f"{module.name}+{g}.{h}={target}")
+
+
+def _cross_products(left: GradedModule, right: GradedModule) -> list[GradedModule]:
+    """The wedge with one cross product planted at a time, into a wrong- and (where one exists) a right-degree target.
+
+    The planted pairs join a square of one summand's first generator to
+    the other's first generator, so the Cartan checks they break sit on a
+    pair that no product joins directly.
+    """
+    module = wedge(left, right)
+    (l1, _), (l2, _) = left.generators[:2]
+    (r1, _), (r2, _) = right.generators[:2]
+    cases = []
+    for g, h in [(l2, r1), (l1, r2)]:
+        degree = module.degree_of(g) + module.degree_of(h)
+        right_degree = sorted(t for t, d in module.generators if d == degree)
+        wrong_degree = min(t for t, d in module.generators if d != degree)
+        cases += [_planted(module, g, h, t) for t in right_degree[:1] + [wrong_degree]]
+    return cases
+
+
+@pytest.mark.parametrize("max_degree", [4, 8, 12])
+def test_verify_matches_reference_where_a_planted_product_links_a_pair(max_degree):
+    # Every Cartan pair that a product can reach is evaluated: a planted
+    # cross product of a wedge, a product on a suspension or a sphere, and
+    # a product key whose target set is empty.
+    cases = _cross_products(real_proj(5), complex_proj(3)) + _cross_products(complex_proj(2), real_proj(4))
+    cases += [_planted(suspend(real_proj(6)), "s_t1", "s_t1", "s_t3"), _planted(sphere(4), "x4", "x4", "x4")]
+    rp6 = real_proj(6)
+    cases += [
+        _with(rp6, products={**rp6.products, ("t1", "t6"): frozenset()}, name="rp6+empty"),
+        _with(suspend(rp6), products={("s_t1", "s_t2"): frozenset()}, name="susp(rp6)+empty"),
+    ]
+    reports = [verify_axioms(m, max_degree) for m in cases]
+    assert [r.ok for r in reports] == [False] * (len(cases) - 2) + [True, True]
+    assert all("(C)" in {f.axiom for f in r.failures} for r in reports[:-3])
+    assert all(r.checks == predicted_checks(m, max_degree) for m, r in zip(cases, reports))
+    _assert_same_reports((m, max_degree) for m in cases)

@@ -1,5 +1,6 @@
 """Surface syntax: parsing, printing, and round trips."""
 
+import sys
 import time
 
 import pytest
@@ -233,14 +234,28 @@ def test_parsers_read_unicode_digits_as_int_does():
 
 
 def test_an_error_earlier_in_a_term_wins_over_a_number_too_long_for_int():
-    # int() refuses more than sys.get_int_max_str_digits() digits; the
-    # factors of a term are still checked in text order.
+    # int() refuses more than sys.get_int_max_str_digits() digits: a ParseError
+    # at the number's first digit, and the factors of a term are still
+    # checked in text order.
     long = "1" * 5000
-    for parse, reference, text in [
-        (parse_sq, reference_parse_sq, f"Sq0 Sq{long}"),
-        (parse_sq, reference_parse_sq, f"Sq{long} Sq0"),
-        (parse_poly, reference_parse_poly, f"t0^{long}"),
-        (parse_poly, reference_parse_poly, f"t1^{long}*t0"),
-        (parse_poly, reference_parse_poly, f"t{long}*"),
+    too_long = f"numbers are limited to {sys.get_int_max_str_digits()} digits"
+    for parse, reference, text, expected in [
+        (parse_sq, reference_parse_sq, f"Sq0 Sq{long}", ("ParseError", "Sq0 is not allowed; write 1 for the identity", 0)),
+        (parse_sq, reference_parse_sq, f"Sq{long} Sq0", ("ParseError", too_long, 2)),
+        (parse_sq, reference_parse_sq, f"Sq1 + 1 +  Sq{long}", ("ParseError", too_long, 13)),
+        (parse_poly, reference_parse_poly, f"t0^{long}", ("ParseError", "variables are numbered from t1", 0)),
+        (parse_poly, reference_parse_poly, f"t1^{long}*t0", ("ParseError", too_long, 3)),
+        (parse_poly, reference_parse_poly, f"t{long}*", ("ParseError", too_long, 1)),
     ]:
-        assert _outcome(parse, text) == _outcome(reference, text)
+        assert _outcome(parse, text) == _outcome(reference, text) == expected
+
+
+def test_parse_module_refuses_a_number_too_long_for_int_at_its_column():
+    long = "1" * 5000
+    too_long = f"numbers are limited to {sys.get_int_max_str_digits()} digits"
+    for text, column in [(f"rp{long}", 2), (f"wedge(s1, cp{long})", 12), (f"susp( s{long})", 7)]:
+        with pytest.raises(ParseError) as err:
+            parse_module(text)
+        assert (err.value.message, err.value.position) == (too_long, column)
+    with pytest.raises(ParseError, match="expected ','"):
+        parse_module(f"wedge(s1 cp{long})")
