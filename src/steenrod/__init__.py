@@ -41,9 +41,7 @@ __all__ = sorted([*_HOME, "cache_info", "clear_caches"])
 
 
 def _layer(layer: str):
-    from importlib import import_module  # here, so that importing steenrod.cli does not load it
-
-    return import_module(f"{__name__}.{layer}")
+    return __import__(f"{__name__}.{layer}", fromlist=["_"])  # given a fromlist, it returns the layer itself
 
 
 def __getattr__(name: str):

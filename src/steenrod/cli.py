@@ -121,7 +121,11 @@ def _cmd_total_square(args: SimpleNamespace) -> Result:
     if args.var is None:
         var = fresh
     elif args.var.removeprefix("t").isdecimal():
-        var = int(args.var.removeprefix("t"))
+        try:
+            var = int(args.var.removeprefix("t"))
+        except ValueError:  # a decimal int() refuses has more digits than it reads
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"option --var: numbers are limited to {limit} digits") from None
         if var < 1:
             raise ValueError(f"variables are numbered from t1 (got {args.var!r})")
     elif args.var[:1].isascii() and args.var[:1].isalpha() and args.var.replace("_", "a").isalnum():
@@ -307,6 +311,8 @@ def _parse(argv: list[str]) -> SimpleNamespace | str:
         try:
             setattr(args, attrs[name], convert(value))
         except ValueError:
+            if sum(map(str.isdecimal, value)) > (limit := sys.get_int_max_str_digits()):  # not echoed whole
+                raise ValueError(f"option {name}: numbers are limited to {limit} digits") from None
             raise ValueError(f"option {name}: invalid {convert.__name__} value {value!r}") from None
     missing = [name for name in options if getattr(args, attrs[name]) is _REQUIRED]
     if missing:

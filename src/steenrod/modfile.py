@@ -33,13 +33,9 @@ from __future__ import annotations
 
 import json
 import os
-import re
 
 from .f2 import dumps_json
 from .modules import GradedModule, pair_key
-
-_ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_INDEX_RE = re.compile(r"[1-9][0-9]*")
 
 
 def module_to_dict(module: GradedModule) -> dict:
@@ -72,8 +68,7 @@ def _object(value, what: str) -> dict:
 
 
 def module_from_dict(doc: dict) -> GradedModule:
-    if not isinstance(doc, dict):
-        raise ValueError("module document must be a JSON object")
+    _object(doc, "module document")
     for key in ("name", "top_degree", "generators", "sq", "products"):
         if key not in doc:
             raise ValueError(f"module document is missing the {key!r} field")
@@ -89,7 +84,7 @@ def module_from_dict(doc: dict) -> GradedModule:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ValueError(f"generator entry {entry!r} must be an [id, degree] pair")
         gid, d = entry
-        if not isinstance(gid, str) or not _ID_RE.fullmatch(gid):
+        if not isinstance(gid, str) or not (gid.isascii() and gid.isidentifier() and gid[0] != "_"):
             raise ValueError(f"bad generator id {gid!r}")
         if type(d) is not int or d < 1:
             raise ValueError(f"generator {gid!r} needs a positive integer degree")
@@ -108,7 +103,7 @@ def module_from_dict(doc: dict) -> GradedModule:
     for gid, table in _object(doc["sq"], "'sq'").items():
         known(gid, "sq table")
         for index, targets in _object(table, f"sq table of {gid!r}").items():
-            if not isinstance(index, str) or not _INDEX_RE.fullmatch(index):
+            if not isinstance(index, str) or not (index.isascii() and index.isdecimal() and index[0] != "0"):
                 raise ValueError(f"sq index {index!r} for {gid!r} must be a positive integer in plain decimal")
             i = int(index)
             context = f"Sq{i}({gid})"

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable
-from functools import cache, partial
+from functools import partial
 
 from .adem import AdemElement, Word
 from .f2 import F2Sum
@@ -165,15 +165,10 @@ def _scan_word(scanner: _Scanner) -> Word:
 
 def parse_poly(text: str) -> PolyElement:
     """Parse a polynomial over F2[t1..tk]; duplicate monomials cancel."""
-    return _parse_sum(text, *_poly_layer(), "polynomial")
-
-
-@cache
-def _poly_layer() -> tuple[Callable[[str], Monomial], Callable[[_Scanner], Monomial], type[PolyElement]]:
-    """The two monomial readers and ``PolyElement``, importing ``poly`` on the first call only."""
     from .poly import PolyElement, make_monomial
 
-    return partial(_read_mono, make_monomial), partial(_scan_mono, make_monomial), PolyElement
+    read, scan = partial(_read_mono, make_monomial), partial(_scan_mono, make_monomial)
+    return _parse_sum(text, read, scan, PolyElement, "polynomial")
 
 
 def _read_mono(make_monomial: Callable[..., Monomial], term: str) -> Monomial:

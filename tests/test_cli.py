@@ -216,6 +216,14 @@ def test_verify_corrupted_module_file(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_verify_module_file_with_a_repeated_generator_id(tmp_path, capsys):
+    doc = {"name": "x", "top_degree": 2, "generators": [["a", 1], ["a", 2]], "sq": {}, "products": {}}
+    path = tmp_path / "repeated_id.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--module", str(path), "--max-degree", "2")
+    assert (code, out, err) == (2, "", "error: duplicate generator id 'a'\n")
+
+
 @pytest.mark.parametrize("field", ['"generators": [5]', '"sq": []', '"products": {"t1,t1": "t2"}'])
 def test_verify_module_file_with_wrong_types(tmp_path, capsys, field):
     doc = json.loads(modfile.dumps(real_proj(2)))
@@ -296,6 +304,25 @@ def test_a_number_too_long_for_int_is_a_parse_error_at_its_column(capsys, argv, 
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: numbers are limited to {sys.get_int_max_str_digits()} digits (at column {column})\n"
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["basis", "--degree", "1" * 5000], "--degree"),
+        (["verify", "--module", "s3", "--max-degree", "1" * 5000], "--max-degree"),
+        (["verify", "--module", "s3", "--max-degree", "-" + "1" * 5000], "--max-degree"),
+        (["normalize", "Sq1", "--step-budget", "1" * 5000], "--step-budget"),
+        (["act", "--op", "Sq1", "--on", "t1", "--vars=" + "1" * 5000], "--vars"),
+        (["total-square", "--on", "t1", "--var", "t" + "1" * 5000], "--var"),
+    ],
+    ids=["--degree", "--max-degree", "negative --max-degree", "--step-budget", "--vars", "--var"],
+)
+def test_an_option_number_too_long_for_int_names_the_limit(capsys, argv, option):
+    # Such a value is well formed, but more digits than int() reads; it is not echoed.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: option {option}: numbers are limited to {sys.get_int_max_str_digits()} digits\n"
 
 
 def test_faithful(capsys):

@@ -224,6 +224,8 @@ def test_generic_rejects_negative_degree():
         SymbolicClass.generic(-1)
     with pytest.raises(ValueError, match="^degree must be a natural number$"):
         derive_adem_relations(-1)
+    with pytest.raises(ValueError, match="^degree must be a natural number$"):
+        vanishes_on_degree(Sq(1), -1)
 
 
 def test_inhomogeneous_symbolic_class_rejected():

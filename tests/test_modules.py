@@ -1,7 +1,9 @@
 """Graded module catalog, axiom verifier, and the pi_4(S^3) comparison."""
 
+import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -53,6 +55,7 @@ def test_real_proj_action():
     assert act_on_module(Sq(2), rp5.element("t3")) == rp5.element("t5")
     rp3 = real_proj(3)
     assert act_on_module(Sq(2), rp3.element("t3")).is_zero()  # truncated
+    assert str(rp3) == "rp3 (3 generators, top degree 3)"
 
 
 def test_complex_proj_action():
@@ -246,6 +249,24 @@ def test_inhomogeneous_elements_tolerated():
     assert image == rp4.element("t2") + rp4.element("t4")
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GradedModule("x", (("a", 1), ("a", 2)), {}, {}, 2), "duplicate generator id 'a'"),
+        (lambda: GradedModule("x", (("a", 0),), {}, {}, 1), "generator 'a' must have positive degree"),
+        (lambda: real_proj(3).sq_gen("t1", -1), "square index must be a natural number"),
+        (
+            lambda: cup_elements(real_proj(3).element("t1"), real_proj(3).element("t1")),
+            "elements live in different modules",
+        ),
+    ],
+    ids=["duplicate id", "degree 0", "negative square", "two modules"],
+)
+def test_module_errors(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_module_file_round_trip():
     for module in [real_proj(4), complex_proj(3), suspend(complex_proj(2)),
                    wedge(real_proj(2), real_proj(2)), sphere(3)]:
@@ -261,6 +282,8 @@ def test_module_file_round_trip():
 
 
 def test_module_file_rejects_bad_documents():
+    with pytest.raises(ValueError, match="^module document must be a JSON object$"):
+        modfile.loads("[]")
     with pytest.raises(ValueError):
         modfile.loads('{"name": "x"}')
     with pytest.raises(ValueError):
@@ -272,6 +295,28 @@ def test_module_file_rejects_bad_documents():
             '{"name": "x", "top_degree": 2, "generators": [["a", 1]],'
             ' "sq": {"a": {"1": ["missing"]}}, "products": {}}'
         )
+
+
+def _loads_with(generator_id: str = "t1", index: str = "1") -> bool:
+    """Whether a one-generator document with this id and square index loads."""
+    doc = {"name": "x", "top_degree": 2, "generators": [[generator_id, 1]],
+           "sq": {generator_id: {index: []}}, "products": {}}
+    try:
+        modfile.module_from_dict(doc)
+    except ValueError:
+        return False
+    return True
+
+
+def test_module_file_ids_and_indices_are_those_of_the_documented_patterns():
+    # Every string of up to four characters over letters, ASCII and
+    # non-ASCII digits, '_', whitespace and '-': accepted exactly where
+    # the patterns of the module docstring match.
+    ids, indices = re.compile(r"[A-Za-z][A-Za-z0-9_]*"), re.compile(r"[1-9][0-9]*")
+    texts = ["".join(chars) for n in range(5) for chars in itertools.product("aZ09_ \n\u0663\u00e9-1", repeat=n)]
+    assert len(texts) == 16105
+    assert [text for text in texts if _loads_with(generator_id=text) != bool(ids.fullmatch(text))] == []
+    assert [text for text in texts if _loads_with(index=text) != bool(indices.fullmatch(text))] == []
 
 
 def _document(**fields) -> dict:

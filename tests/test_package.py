@@ -61,3 +61,17 @@ print(json.dumps(report))
         "unbound": [],
         "unknown": "module 'steenrod' has no attribute 'no_such_name'",
     }
+
+
+def test_lazy_names_load_no_import_machinery():
+    # Looking up a public name loads its layer, but neither importlib nor
+    # the warnings module that importing importlib brings in.
+    probe = f"""
+import sys
+sys.path.insert(0, {SRC!r})
+import steenrod
+steenrod.normalize, steenrod.act
+print(sorted(name for name in ("importlib", "warnings") if name in sys.modules))
+"""
+    argv = [sys.executable, "-S", "-E", "-c", probe]
+    assert subprocess.run(argv, capture_output=True, text=True, check=True).stdout == "[]\n"

@@ -219,6 +219,9 @@ def test_parsers_agree_with_the_token_by_token_reference(text):
         (parse_poly, "t1^2^3", "expected '+' or end of polynomial", 4),
         (parse_poly, "1*t1", "expected '+' or end of polynomial", 1),
         (parse_poly, "t1 + x1", "expected a factor like t1 or t2^3", 5),
+        (parse_module, "wedge(s5,s3", "expected ')'", 11),
+        (parse_module, "susp(s3", "expected ')'", 7),
+        (parse_module, "cp0", "dimension must be >= 1", 0),
     ],
 )
 def test_parse_error_messages_and_columns(parse, text, message, column):

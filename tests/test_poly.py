@@ -164,6 +164,20 @@ def test_total_square_rejects_variables_below_one(var):
             total_square(p, var)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: make_monomial({1: -1}), "exponents must be naturals"),
+        (lambda: variable(0), "variables are indexed from 1"),
+        (lambda: sq(-1, variable(1)), "square index must be a natural number"),
+    ],
+    ids=["negative exponent", "t0", "negative square"],
+)
+def test_poly_constructors_refuse_arguments_out_of_range(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_total_square_rejects_inhomogeneous():
     with pytest.raises(ValueError):
         total_square(parse_poly("t1 + t1^2"), 3)
