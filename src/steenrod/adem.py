@@ -63,7 +63,7 @@ def is_admissible(word: Word) -> bool:
 
 def word_key(word: Word) -> tuple[int, int, Word]:
     """Canonical sort key for words: degree, then length, then exponents."""
-    return (degree(word), len(word), word)
+    return (sum(word), len(word), word)
 
 
 @lru_cache(maxsize=None)
@@ -110,7 +110,7 @@ class AdemElement(F2Sum):
 
     @staticmethod
     def _term_text(word: Word) -> str:
-        return " ".join(f"Sq{i}" for i in word) or "1"
+        return "Sq" + " Sq".join(map(str, word)) if word else "1"
 
     sorted_words = F2Sum.sorted_terms
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable
-from functools import partial
 
 from .adem import AdemElement, Word
 from .f2 import F2Sum
@@ -165,26 +164,32 @@ def _scan_word(scanner: _Scanner) -> Word:
 
 def parse_poly(text: str) -> PolyElement:
     """Parse a polynomial over F2[t1..tk]; duplicate monomials cancel."""
-    from .poly import PolyElement, make_monomial
+    from . import poly
 
-    read, scan = partial(_read_mono, make_monomial), partial(_scan_mono, make_monomial)
-    return _parse_sum(text, read, scan, PolyElement, "polynomial")
+    return _parse_sum(text, _read_mono, _scan_mono, poly.PolyElement, "polynomial")
 
 
-def _read_mono(make_monomial: Callable[..., Monomial], term: str) -> Monomial:
+def _read_mono(term: str) -> Monomial:
+    """The monomial ``make_monomial`` builds from the factors of ``term``, read in one pass."""
     if term.strip() == "1":
         return ()
-    factors = []
+    merged: dict[int, int] = {}
     for factor in term.split("*"):
         var, caret, exp = factor.partition("^")
         var, exp = var.strip(), exp.strip() if caret else "1"
         if var[:1] != "t" or not (var[1:] + exp).isdecimal():
             raise ValueError(term)
-        factors.append((int(var[1:]), int(exp)))  # '' and a number too long for int() raise here
-    return make_monomial(factors)  # refuses t0
+        index, exp = int(var[1:]), int(exp)  # '' and a number too long for int() raise here
+        if not index:
+            raise ValueError(term)  # t0: the scanner reports it at its column
+        if exp:
+            merged[index] = merged.get(index, 0) + exp
+    return tuple(sorted(merged.items()))
 
 
-def _scan_mono(make_monomial: Callable[..., Monomial], scanner: _Scanner) -> Monomial:
+def _scan_mono(scanner: _Scanner) -> Monomial:
+    from .poly import make_monomial
+
     if scanner.take("1"):
         return ()
     factors = []

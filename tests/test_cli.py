@@ -456,27 +456,32 @@ print(ours())
     start_up = "['steenrod', 'steenrod.adem', 'steenrod.cli', 'steenrod.f2']"
     normalize = "['steenrod', 'steenrod.adem', 'steenrod.cli', 'steenrod.f2', 'steenrod.parsing']"
     assert out.stdout.splitlines() == [f"[] {start_up}", "Sq3", "Sq2 Sq1", start_up, "Sq3 Sq1", normalize]
-    # Nor does any builtin subcommand load re, json or enum, --json included.
+    # Run alone, --json included, each subcommand gives its exit code (1 for derive-adem:
+    # degree-local relations) and loads exactly these layers beside adem, cli and f2,
+    # and none of re, json, enum or random.
     calls = [
-        ["normalize", "Sq2 Sq2"],
-        ["basis", "--degree", "5"],
-        ["act", "--op", "Sq2 Sq1", "--on", "t1^2*t2"],
-        ["total-square", "--on", "t1*t2"],
-        ["derive-adem", "--degree", "5"],
-        ["faithful", "--degree", "5"],
-        ["distinguish-pi4"],
-        ["verify", "--module", "wedge(rp3,cp2)", "--max-degree", "8"],
+        (["normalize", "Sq2 Sq2"], 0, "parsing"),
+        (["basis", "--degree", "5"], 0, ""),
+        (["act", "--op", "Sq2 Sq1", "--on", "t1^2*t2"], 0, "linalg parsing poly"),
+        (["total-square", "--on", "t1*t2"], 0, "linalg parsing poly"),
+        (["derive-adem", "--degree", "5"], 1, "derive linalg poly"),
+        (["faithful", "--degree", "5"], 0, "linalg poly"),
+        (["distinguish-pi4"], 0, "linalg modules"),
+        (["verify", "--module", "s3", "--max-degree", "8"], 0, "linalg modules parsing"),
+        (["verify", "--module", "wedge(rp3,cp2)", "--max-degree", "8"], 0, "linalg modules parsing"),
     ]
-    probe = f"""
+    for argv, code, extra in calls:
+        probe = f"""
 import os, sys, steenrod.cli
 sys.stdout = open(os.devnull, "w")
-codes = [steenrod.cli.main(argv + ["--json"]) for argv in {calls}]
+code = steenrod.cli.main({argv + ["--json"]})
 sys.stdout = sys.__stdout__
-print(codes, sorted({{"re", "json", "enum"}} & set(sys.modules)), "random" in sys.modules)
+print(code, sorted({{"re", "json", "enum", "random"}} & set(sys.modules)))
+print(*sorted(m.removeprefix("steenrod.") for m in sys.modules if m.startswith("steenrod.")))
 """
-    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
-    # verify, the last call, loads no random either.
-    assert out.stdout == "[0, 0, 0, 0, 1, 0, 0, 0] [] False\n"
+        out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+        layers = " ".join(sorted(["adem", "cli", "f2", *extra.split()]))
+        assert out.stdout.splitlines() == [f"{code} []", layers], argv
 
 
 def test_a_closed_stdout_is_not_a_usage_error():

@@ -66,6 +66,27 @@ def test_parse_poly_examples():
     assert parse_poly("0").is_zero()
     assert parse_poly("t1*t1") == parse_poly("t1^2")
     assert parse_poly("t2^0") == PolyElement.one()
+    # Repeated variables merge and zero exponents drop, as make_monomial does.
+    merges = {
+        "t2*t1^2*t2": ([(2, 1), (1, 2), (2, 1)], "t1^2*t2^2"),
+        "t1^0*t3^0": ([(1, 0), (3, 0)], "1"),
+        "t1 ^ 0 * t2": ([(1, 0), (2, 1)], "t2"),
+    }
+    for text, (factors, merged) in merges.items():
+        assert parse_poly(text).monomials == frozenset({make_monomial(factors)})
+        assert parse_poly(text) == parse_poly(merged)
+
+
+def test_parse_poly_of_a_large_sum_or_monomial_takes_linear_time():
+    # As parse_sq above: a 16,000-term sum and a 5,000-factor monomial.
+    start = time.perf_counter()
+    element = parse_poly(" + ".join(f"t{i}" for i in range(1, 16001)))
+    assert time.perf_counter() - start < 2
+    assert element.monomials == frozenset(((i, 1),) for i in range(1, 16001))
+    start = time.perf_counter()
+    element = parse_poly(" * ".join(f"t{i}^2" for i in range(1, 5001)))
+    assert time.perf_counter() - start < 2
+    assert element.monomials == frozenset({tuple((i, 2) for i in range(1, 5001))})
 
 
 def test_parse_poly_errors():
