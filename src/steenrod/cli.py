@@ -166,7 +166,7 @@ def _cmd_derive_adem(args: SimpleNamespace) -> Result:
 def _cmd_verify(args: SimpleNamespace) -> Result:
     from .modules import verify_axioms
 
-    if args.max_degree < 0:  # verify_axioms checks nothing below degree 0
+    if args.max_degree < 0:  # below degree 0 verify_axioms would check only the table entries
         raise ValueError("degree must be a natural number")
     report = verify_axioms(resolve_module(args.module), args.max_degree)
     lines = [f"FAIL [{f.axiom}] {f.where}: {f.detail}" for f in report.failures]

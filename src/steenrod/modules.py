@@ -319,21 +319,23 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
 
     Covers table consistency, the identity and instability rules, the
     top-square rule, the Cartan formula on all generator pairs,
-    additivity on fixed sums of the generators in each degree, and the
-    Adem identities evaluated through the action on both sides.
-    Failures are collected in the report, not raised.
+    additivity, and the Adem identities evaluated through the action on
+    both sides.  Failures are collected in the report, not raised.
 
     The action is read from one square table built here: each
     generator's nonzero Sq^i with 1 <= i <= its degree, exactly what
     :meth:`GradedModule.sq_gen` returns.  Each pass adds the count of
     its checks, evaluated or not, in one statement beside its loop, so
     ``checks`` depends only on the table sizes and the generator
-    degrees.  Checks that compare two empty sums are counted but not
-    evaluated: once the stored squares and products all land in their
-    expected degrees, those whose result degree holds no generator;
-    and always the Cartan checks of a pair g, h that no product links,
-    where no product key joins a generator of g's orbit (g and its
-    squares) to one of h's.
+    degrees.  (I1) and additivity are counted but never evaluated: they
+    hold for every table, since :func:`act_word` returns a sum unchanged
+    under the empty word and is a fold of symmetric differences.  Checks
+    that compare two empty sums are counted but not evaluated: once the
+    stored squares and products all land in their expected degrees, the
+    Adem checks whose result degree holds no generator; and the Cartan
+    checks of a pair g, h that no nonzero product links, where no
+    product key with a nonzero target joins a generator of g's orbit
+    (g and its squares) to one of h's.
     """
     failures: list[AxiomFailure] = []
     table: _SquareTable = {}
@@ -377,16 +379,14 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
     # compares two empty sums: it is counted below but not evaluated.
     degrees_exact = not failures
     gen_degrees = {d for _, d in module.generators}
-    top_gen_degree = max(gen_degrees, default=0)
 
     in_range = [(gid, d) for gid, d in module.generators if d <= max_degree]
 
-    # (I1) the empty word acts as the identity; (I3) the top square
-    # equals the cup square (absent products mean zero).
+    # (I1) the empty word acts as the identity: counted, never evaluated,
+    # since act_word returns a sum unchanged under the empty word.  (I3)
+    # the top square equals the cup square (absent products mean zero).
     checks += 2 * len(in_range)
     for gid, d in in_range:
-        if act_word((), frozenset({gid}), table_sq) != {gid}:
-            fail("(I1)", gid, "identity word does not act as identity")
         top = table_sq(d, gid)
         square = module.cup_gens(gid, gid)
         if top != square:
@@ -400,16 +400,19 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
     # paired against the sum of Sq^i(g) cup Sq^j(h) over the nonzero
     # squares with i + j = n, Sq^0 included; every other term is zero.
     # Every term on either side is a product of an element of g's orbit
-    # (g and its squares) with one of h's, so where no product key joins
-    # the two orbits, both sides are zero whatever the degrees.
+    # (g and its squares) with one of h's, so where no product key with a
+    # nonzero target joins the two orbits, both sides are zero.  With
+    # exact degrees that skips every pair with dg + dh above the top
+    # generator degree: a linking product lands in degree >= dg + dh.
     squares = {
         gid: ((0, frozenset({gid})), *table.get(gid, _NO_SQUARES).items())
         for gid, _ in in_range
     }
     partners: dict[str, set[str]] = {}
-    for g, h in module.products:
-        partners.setdefault(g, set()).add(h)
-        partners.setdefault(h, set()).add(g)
+    for (g, h), targets in module.products.items():
+        if targets:
+            partners.setdefault(g, set()).add(h)
+            partners.setdefault(h, set()).add(g)
     orbit = {gid: frozenset().union(*(xs for _, xs in own)) for gid, own in squares.items()}
     reach = {gid: set().union(*(partners.get(x, _EMPTY) for x in xs)) for gid, xs in orbit.items()}
     for a, (g, dg) in enumerate(in_range):
@@ -418,7 +421,7 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
             if dg + dh > max_degree:
                 continue
             checks += dg + dh
-            if (degrees_exact and dg + dh > top_gen_degree) or reach_g.isdisjoint(orbit[h]):
+            if reach_g.isdisjoint(orbit[h]):
                 continue
             lhs_by_n: dict[int, frozenset[str]] = {}
             for t in module.cup_gens(g, h):
@@ -439,23 +442,13 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
                         f"lhs {sorted(lhs)} != rhs {sorted(rhs)}",
                     )
 
-    # Additivity on fixed sums: alternate generators of a degree against
-    # its first one to four (true by construction; exercised anyway).
-    by_degree: dict[int, list[str]] = {}
-    for gid, d in in_range:
-        by_degree.setdefault(d, []).append(gid)
-    for d, gens in sorted(by_degree.items()):
-        if len(gens) < 2:
-            continue
-        checks += 12
-        for r in range(4):
-            xs = frozenset(gens[r % 2 :: 2])
-            ys = frozenset(gens[: r + 1])
-            for word in ((1,), (2,), (2, 1)):
-                both = act_word(word, xs ^ ys, table_sq)
-                split = act_word(word, xs, table_sq) ^ act_word(word, ys, table_sq)
-                if both != split:
-                    fail("additivity", f"{word} on degree {d}", "action is not additive")
+    # Additivity: 12 checks per degree holding two or more generators,
+    # counted but never evaluated, since act_word is a fold of symmetric
+    # differences and so is additive for every table.
+    gens_per_degree: dict[int, int] = {}
+    for _, d in in_range:
+        gens_per_degree[d] = gens_per_degree.get(d, 0) + 1
+    checks += 12 * sum(count > 1 for count in gens_per_degree.values())
 
     # (A) Adem identities, both sides evaluated through the table.  The
     # right side is the one-pair expansion alone; the rewriting loop of
