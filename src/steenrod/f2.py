@@ -185,9 +185,11 @@ def dumps_json(value: object, _newline: str = "\n") -> str:
         return int.__repr__(value)
     inner = _newline + "  "
     if isinstance(value, dict):
-        if not all(isinstance(key, str) for key in value):
-            raise TypeError("dumps_json writes only str keys")
-        items = [f"{dumps_json(key)}: {dumps_json(value[key], inner)}" for key in sorted(value)]
+        items = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError("dumps_json writes only str keys")
+            items.append(f"{dumps_json(key)}: {dumps_json(value[key], inner)}")
     elif isinstance(value, (list, tuple)):
         items = [dumps_json(item, inner) for item in value]
     else:

@@ -99,6 +99,16 @@ def module_from_dict(doc: dict) -> GradedModule:
             raise ValueError(f"{context} refers to unknown generator {gid!r}")
         return gid
 
+    def known_set(targets: list, context: str) -> frozenset[str]:
+        """A target list as a set of known ids; the error names its first bad entry."""
+        try:
+            value = frozenset(_array(targets, context))
+            if value <= ids:
+                return value
+        except TypeError:  # an unhashable entry
+            pass
+        return frozenset(known(t, context) for t in targets)
+
     sq: dict[tuple[str, int], frozenset[str]] = {}
     for gid, table in _object(doc["sq"], "'sq'").items():
         known(gid, "sq table")
@@ -107,7 +117,7 @@ def module_from_dict(doc: dict) -> GradedModule:
                 raise ValueError(f"sq index {index!r} for {gid!r} must be a positive integer in plain decimal")
             i = int(index)
             context = f"Sq{i}({gid})"
-            value = frozenset(known(t, context) for t in _array(targets, context))
+            value = known_set(targets, context)
             if value:
                 sq[(gid, i)] = value
 
@@ -123,7 +133,7 @@ def module_from_dict(doc: dict) -> GradedModule:
             raise ValueError(f"product key {key!r} repeats the pair of an earlier key")
         pairs.add(pair)
         context = f"{g} cup {h}"
-        value = frozenset(known(t, context) for t in _array(targets, context))
+        value = known_set(targets, context)
         if value:
             products[pair] = value
 

@@ -336,6 +336,15 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
     checks of a pair g, h that no nonzero product links, where no
     product key with a nonzero target joins a generator of g's orbit
     (g and its squares) to one of h's.
+
+    With exact degrees the Cartan checks of a linked pair are decided at
+    once, as the total-square identity Sq(g cup h) = Sq(g) cup Sq(h) on
+    orbit sets, Sq = sum of all Sq^i (Milnor 1958): Sq^i(x) lies in
+    degree |x| + i, so an orbit is the total square of its generator,
+    and the degree-(dg + dh + n) parts of the two sides are the two sides
+    of the check for n.  Only a pair whose identity fails, or any linked
+    pair when some degree is wrong, is compared degree by degree, which
+    names each failing n as before.
     """
     failures: list[AxiomFailure] = []
     table: _SquareTable = {}
@@ -385,10 +394,11 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
     # (I1) the empty word acts as the identity: counted, never evaluated,
     # since act_word returns a sum unchanged under the empty word.  (I3)
     # the top square equals the cup square (absent products mean zero).
+    products = module.products
     checks += 2 * len(in_range)
     for gid, d in in_range:
-        top = table_sq(d, gid)
-        square = module.cup_gens(gid, gid)
+        top = table.get(gid, _NO_SQUARES).get(d, _EMPTY)
+        square = products.get((gid, gid), _EMPTY)
         if top != square:
             fail(
                 "(I3)",
@@ -404,32 +414,46 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
     # nonzero target joins the two orbits, both sides are zero.  With
     # exact degrees that skips every pair with dg + dh above the top
     # generator degree: a linking product lands in degree >= dg + dh.
-    squares = {
-        gid: ((0, frozenset({gid})), *table.get(gid, _NO_SQUARES).items())
-        for gid, _ in in_range
-    }
+    checks += sum(
+        dg + dh for a, (_, dg) in enumerate(in_range) for _, dh in in_range[a:] if dg + dh <= max_degree
+    )
     partners: dict[str, set[str]] = {}
-    for (g, h), targets in module.products.items():
+    for (g, h), targets in products.items():
         if targets:
             partners.setdefault(g, set()).add(h)
             partners.setdefault(h, set()).add(g)
-    orbit = {gid: frozenset().union(*(xs for _, xs in own)) for gid, own in squares.items()}
-    reach = {gid: set().union(*(partners.get(x, _EMPTY) for x in xs)) for gid, xs in orbit.items()}
-    for a, (g, dg) in enumerate(in_range):
+    if partners:
+        orbit = {gid: frozenset({gid}).union(*table.get(gid, _NO_SQUARES).values()) for gid, _ in in_range}
+        reach = {gid: set().union(*(partners.get(x, _EMPTY) for x in xs)) for gid, xs in orbit.items()}
+    for a, (g, dg) in enumerate(in_range if partners else ()):
         reach_g = reach[g]
+        orbit_g = orbit[g]
         for h, dh in in_range[a:]:
-            if dg + dh > max_degree:
+            if dg + dh > max_degree or reach_g.isdisjoint(orbit[h]):
                 continue
-            checks += dg + dh
-            if reach_g.isdisjoint(orbit[h]):
-                continue
+            product = products.get((g, h) if g <= h else (h, g), _EMPTY)
+            if degrees_exact:
+                # Sq(g cup h) = Sq(g) cup Sq(h), every n at once: an orbit
+                # is the total square of its generator (see the docstring).
+                # A target t of g cup h has degree dg + dh <= max_degree,
+                # so orbit[t] exists.
+                lhs_total: set[str] = set()
+                for t in product:
+                    lhs_total ^= orbit[t]
+                rhs_total: set[str] = set()
+                orbit_h = orbit[h]
+                for x in orbit_g:
+                    for y in orbit_h:
+                        rhs_total ^= products.get((x, y) if x <= y else (y, x), _EMPTY)
+                if lhs_total == rhs_total:
+                    continue
             lhs_by_n: dict[int, frozenset[str]] = {}
-            for t in module.cup_gens(g, h):
+            for t in product:
                 for n, targets in table.get(t, _NO_SQUARES).items():
                     lhs_by_n[n] = lhs_by_n.get(n, _EMPTY) ^ targets
             rhs_by_n: dict[int, frozenset[str]] = {}
-            for i, xs in squares[g]:
-                for j, ys in squares[h]:
+            for i, xs in ((0, frozenset({g})), *table.get(g, _NO_SQUARES).items()):
+                for j, ys in ((0, frozenset({h})), *table.get(h, _NO_SQUARES).items()):
                     if i + j:
                         rhs_by_n[i + j] = rhs_by_n.get(i + j, _EMPTY) ^ _cup_sets(module, xs, ys)
             for n in range(1, dg + dh + 1):
@@ -450,37 +474,40 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
         gens_per_degree[d] = gens_per_degree.get(d, 0) + 1
     checks += 12 * sum(count > 1 for count in gens_per_degree.values())
 
-    # (A) Adem identities, both sides evaluated through the table.  The
-    # right side is the one-pair expansion alone; the rewriting loop of
-    # normalize stays out of the verifier.  A generator all of whose
-    # squares are zero makes both sides vanish, so only the others are
-    # evaluated, and only where their result degree holds a generator.
-    evaluated = {
-        s: [
-            (gid, table[gid])
-            for gid, d in in_range
-            if gid in table and (not degrees_exact or d + s in gen_degrees)
-        ]
-        for s in range(2, max_degree + 1)
-    }
-    for k in range(1, max_degree):
-        for n in range(1, min(2 * k, max_degree - k + 1)):
-            checks += len(in_range)
-            gens = evaluated[n + k]
-            if not gens:
-                continue
-            # Each word is split as (rest, first square applied).
-            rhs_words = tuple((w[:-1], w[-1]) for w in adem_rewrite(n, k))
-            for gid, own in gens:
-                rhs = _EMPTY
-                for rest, first in rhs_words:
-                    rhs ^= act_word(rest, own.get(first, _EMPTY), table_sq)
-                if act_word((n,), own.get(k, _EMPTY), table_sq) != rhs:
-                    fail(
-                        "(A)",
-                        f"Sq{n} Sq{k} on {gid}",
-                        "composite disagrees with its Adem expansion",
-                    )
+    # (A) Adem identities, both sides evaluated through the table, one
+    # check per generator in range and pair (n, k) with n < 2k and
+    # n + k <= max_degree.  The right side is the one-pair expansion
+    # alone; the rewriting loop of normalize stays out of the verifier.
+    # A generator all of whose squares are zero makes both sides vanish,
+    # so only the others are evaluated, and only where their result
+    # degree holds a generator.
+    checks += len(in_range) * sum(min(2 * k - 1, max_degree - k) for k in range(1, max_degree))
+    if table:
+        evaluated = {
+            s: [
+                (gid, table[gid])
+                for gid, d in in_range
+                if gid in table and (not degrees_exact or d + s in gen_degrees)
+            ]
+            for s in range(2, max_degree + 1)
+        }
+        for k in range(1, max_degree):
+            for n in range(1, min(2 * k, max_degree - k + 1)):
+                gens = evaluated[n + k]
+                if not gens:
+                    continue
+                # Each word is split as (rest, first square applied).
+                rhs_words = tuple((w[:-1], w[-1]) for w in adem_rewrite(n, k))
+                for gid, own in gens:
+                    rhs = _EMPTY
+                    for rest, first in rhs_words:
+                        rhs ^= act_word(rest, own.get(first, _EMPTY), table_sq)
+                    if act_word((n,), own.get(k, _EMPTY), table_sq) != rhs:
+                        fail(
+                            "(A)",
+                            f"Sq{n} Sq{k} on {gid}",
+                            "composite disagrees with its Adem expansion",
+                        )
 
     return VerifyReport(module.name, max_degree, checks, tuple(failures))
 

@@ -320,6 +320,7 @@ def test_dumps_json_examples():
         '{\n  "a": {},\n  "b": [\n    true,\n    false,\n    null\n  ],\n  "c": [\n    [],\n    -1\n  ]\n}'
     )
     assert dumps_json('"\\\x7f\U0001f600\ud800π') == '"\\"\\\\\\u007f\\ud83d\\ude00\\ud800\\u03c0"'
-    for unwritten in [{"a": 1.5}, {1: "a"}, {"a": {None: 1}}, [{"a"}]]:
+    mixed_keys = [{"a": 1, 2: 3}, {2: 3, "a": 1}, {"a": {"b": 0, 1: 0}}]
+    for unwritten in [{"a": 1.5}, {1: "a"}, {"a": {None: 1}}, [{"a"}], *mixed_keys]:
         with pytest.raises(TypeError):
             dumps_json(unwritten)

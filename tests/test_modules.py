@@ -665,3 +665,55 @@ def test_verify_matches_reference_where_a_planted_product_links_a_pair(max_degre
     assert all("(C)" in {f.axiom for f in r.failures} for r in reports[:-3])
     assert all(r.checks == predicted_checks(m, max_degree) for m, r in zip(cases, reports))
     _assert_same_reports((m, max_degree) for m in cases)
+
+
+def test_verify_matches_reference_on_degree_correct_product_flips():
+    # Each flip adds, removes or swaps targets of the right degree in one
+    # product entry, so every degree stays exact and each Cartan pair is
+    # decided by the one total-square test, with the per-degree comparison
+    # run only where that test fails.  Orbits here hold four or more
+    # generators (t3 of rp12: t3, t4, t5, t6), so the compared sets span
+    # several degrees; a swap keeps their sizes.
+    rng = random.Random(20261020)
+    bases = [real_proj(n) for n in (5, 8, 12)] + [complex_proj(n) for n in (4, 7)]
+    bases += [
+        wedge(real_proj(12), complex_proj(6)),
+        wedge(complex_proj(5), real_proj(9)),
+        wedge(real_proj(6), real_proj(7)),
+    ]
+    flips = {"add": [], "remove": [], "swap": []}
+    for base in bases:
+        for max_degree in (6, 10, 14):
+            for a, (g, dg) in enumerate(base.generators):
+                for h, dh in base.generators[a:]:
+                    if dg + dh > max_degree:
+                        continue
+                    old = base.products.get(pair_key(g, h), frozenset())
+                    present = [t for t in base.gens_in_degree(dg + dh) if t in old]
+                    absent = [t for t in base.gens_in_degree(dg + dh) if t not in old]
+                    where = (base, max_degree, g, h)
+                    flips["add"] += [(*where, {t}) for t in absent]
+                    flips["remove"] += [(*where, {t}) for t in present]
+                    flips["swap"] += [(*where, {t, u}) for t in present for u in absent]
+    cases = []
+    for kind, options in flips.items():
+        for base, max_degree, g, h, toggled in rng.sample(options, 30):
+            key = pair_key(g, h)
+            products = {**base.products, key: base.products.get(key, frozenset()) ^ toggled}
+            cases.append((_with(base, products=products, name=f"{base.name}+{kind}"), max_degree))
+    reports = [verify_axioms(m, d) for m, d in cases]
+    assert sum(not r.ok for r in reports) > 60
+    assert {f.axiom for r in reports for f in r.failures} <= {"(C)", "(I3)"}
+    _assert_same_reports(cases)
+
+
+def test_verify_reports_a_cartan_pair_failing_in_one_degree():
+    # Without t1 cup t2 = t3, Sq1(t1 cup t2) is 0 while Sq1(t1) cup t2 +
+    # t1 cup Sq1(t2) = t2 cup t2 = t4; in degrees 2 and 3 both sides vanish.
+    rp4 = real_proj(4)
+    products = {key: targets for key, targets in rp4.products.items() if key != ("t1", "t2")}
+    module = _with(rp4, products=products)
+    report = verify_axioms(module, 4)
+    assert report.failures == (AxiomFailure("(C)", "Sq1(t1 cup t2)", "lhs [] != rhs ['t4']"),)
+    assert report.checks == predicted_checks(module, 4)
+    _assert_same_reports([(module, 4)])

@@ -73,5 +73,5 @@ import steenrod
 steenrod.normalize, steenrod.act
 print(sorted(name for name in ("importlib", "warnings") if name in sys.modules))
 """
-    argv = [sys.executable, "-S", "-E", "-c", probe]
+    argv = [sys.executable, "-B", "-S", "-E", "-c", probe]
     assert subprocess.run(argv, capture_output=True, text=True, check=True).stdout == "[]\n"
