@@ -330,12 +330,14 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
     degrees.  (I1) and additivity are counted but never evaluated: they
     hold for every table, since :func:`act_word` returns a sum unchanged
     under the empty word and is a fold of symmetric differences.  Checks
-    that compare two empty sums are counted but not evaluated: once the
-    stored squares and products all land in their expected degrees, the
-    Adem checks whose result degree holds no generator; and the Cartan
-    checks of a pair g, h that no nonzero product links, where no
-    product key with a nonzero target joins a generator of g's orbit
-    (g and its squares) to one of h's.
+    that compare two empty sums are counted but not evaluated: the Cartan
+    checks of a pair g, h where no product key with a nonzero target
+    joins a generator of g's orbit (g and its squares) to one of h's; and
+    the Adem checks Sq^n Sq^k on g where none of g's nonzero Sq^s and
+    Sq^a Sq^b has s or a + b equal to n + k.  The words of Sq^n Sq^k and
+    of its one-pair expansion all have length <= 2 and sum n + k, so each
+    Adem check reads its sides from one dict of those images per
+    generator, and the skip holds for every table, exact degrees or not.
 
     With exact degrees the Cartan checks of a linked pair are decided at
     once, as the total-square identity Sq(g cup h) = Sq(g) cup Sq(h) on
@@ -351,9 +353,6 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
 
     def fail(axiom: str, where: str, detail: str) -> None:
         failures.append(AxiomFailure(axiom, where, detail))
-
-    def table_sq(i: int, gid: str) -> frozenset[str]:
-        return table.get(gid, _NO_SQUARES).get(i, _EMPTY)
 
     # Table consistency: stored squares respect degrees and instability.
     # The entries that pass fill the square table the other checks read.
@@ -384,10 +383,8 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
                     f"target {t} has degree {module.degree_of(t)}, expected {dsum}",
                 )
     # With no failure so far every square and product lands in its
-    # expected degree, so a check whose result degree holds no generator
-    # compares two empty sums: it is counted below but not evaluated.
+    # expected degree, which the Cartan pass's total-square test needs.
     degrees_exact = not failures
-    gen_degrees = {d for _, d in module.generators}
 
     in_range = [(gid, d) for gid, d in module.generators if d <= max_degree]
 
@@ -474,35 +471,38 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
         gens_per_degree[d] = gens_per_degree.get(d, 0) + 1
     checks += 12 * sum(count > 1 for count in gens_per_degree.values())
 
-    # (A) Adem identities, both sides evaluated through the table, one
-    # check per generator in range and pair (n, k) with n < 2k and
-    # n + k <= max_degree.  The right side is the one-pair expansion
-    # alone; the rewriting loop of normalize stays out of the verifier.
-    # A generator all of whose squares are zero makes both sides vanish,
-    # so only the others are evaluated, and only where their result
-    # degree holds a generator.
+    # (A) Adem identities, one check per generator in range and pair
+    # (n, k) with n < 2k and n + k <= max_degree, against the one-pair
+    # expansion alone (no normalize).  ``images`` holds a generator's
+    # nonzero Sq^s under (s,) and Sq^a Sq^b, a + b <= max_degree, under
+    # (a, b); the pairs of sum s are evaluated on it only where some key
+    # sums to s, since elsewhere both sides are sums of absent entries.
     checks += len(in_range) * sum(min(2 * k - 1, max_degree - k) for k in range(1, max_degree))
     if table:
-        evaluated = {
-            s: [
-                (gid, table[gid])
-                for gid, d in in_range
-                if gid in table and (not degrees_exact or d + s in gen_degrees)
-            ]
-            for s in range(2, max_degree + 1)
-        }
+        evaluated: dict[int, list[tuple[str, dict]]] = {s: [] for s in range(1, max_degree + 1)}
+        for gid, _ in in_range:
+            images: dict[tuple[int, ...], frozenset[str] | set[str]] = {}
+            for b, xs in table.get(gid, _NO_SQUARES).items():
+                images[(b,)] = xs
+                by_a: dict[int, set[str]] = {}
+                for x in xs:
+                    for a, ys in table.get(x, _NO_SQUARES).items():
+                        if a + b <= max_degree:
+                            by_a.setdefault(a, set()).symmetric_difference_update(ys)
+                images.update(((a, b), ys) for a, ys in by_a.items() if ys)
+            for s in {sum(word) for word in images}:
+                evaluated[s].append((gid, images))
         for k in range(1, max_degree):
             for n in range(1, min(2 * k, max_degree - k + 1)):
                 gens = evaluated[n + k]
                 if not gens:
                     continue
-                # Each word is split as (rest, first square applied).
-                rhs_words = tuple((w[:-1], w[-1]) for w in adem_rewrite(n, k))
-                for gid, own in gens:
+                rhs_words = adem_rewrite(n, k)
+                for gid, images in gens:
                     rhs = _EMPTY
-                    for rest, first in rhs_words:
-                        rhs ^= act_word(rest, own.get(first, _EMPTY), table_sq)
-                    if act_word((n,), own.get(k, _EMPTY), table_sq) != rhs:
+                    for word in rhs_words:
+                        rhs ^= images.get(word, _EMPTY)
+                    if images.get((n, k), _EMPTY) != rhs:
                         fail(
                             "(A)",
                             f"Sq{n} Sq{k} on {gid}",

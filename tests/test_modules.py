@@ -194,8 +194,9 @@ def test_verify_counts_the_predicted_checks_on_large_models():
 def test_verify_evaluates_checks_in_empty_degrees_after_a_degree_failure():
     # Sq2(b2) = c6 lands in degree 6 instead of 4.  Sq1 Sq2 on b2 then
     # reaches e7, while its Adem expansion Sq3 vanishes on b2; degree
-    # 2 + 3 = 5 holds no generator, so only a verifier that stops skipping
-    # empty degrees after a degree failure sees the (A) failure.
+    # 2 + 3 = 5 holds no generator, so only a verifier that does not skip
+    # the Adem checks of empty degrees after a degree failure sees the
+    # (A) failure.
     gap = GradedModule(
         "gap",
         (("b2", 2), ("c6", 6), ("e7", 7)),
@@ -210,6 +211,24 @@ def test_verify_evaluates_checks_in_empty_degrees_after_a_degree_failure():
         ("(I3)", "Sq2(b2)"),
         ("(A)", "Sq1 Sq2 on b2"),
     ]
+    # Sq1(a) = b lands in degree 5 instead of 2, and Sq1(b) = c, so
+    # Sq1 Sq1 on a is c where Sq1 Sq1 = 0; degree 1 + 2 = 3 holds no
+    # generator.
+    gap3 = GradedModule(
+        "gap3",
+        (("a", 1), ("b", 5), ("c", 6)),
+        {("a", 1): frozenset({"b"}), ("b", 1): frozenset({"c"})},
+        {},
+        6,
+    )
+    report = verify_axioms(gap3, 6)
+    assert report.checks == predicted_checks(gap3, 6)
+    assert [(f.axiom, f.where) for f in report.failures] == [
+        ("degree", "Sq1(a)"),
+        ("(I3)", "Sq1(a)"),
+        ("(A)", "Sq1 Sq1 on a"),
+    ]
+    _assert_same_reports([(gap, 7), (gap3, 6)])
 
 
 def test_verify_full_catalog_up_to_degree_ten():
@@ -717,3 +736,61 @@ def test_verify_reports_a_cartan_pair_failing_in_one_degree():
     assert report.failures == (AxiomFailure("(C)", "Sq1(t1 cup t2)", "lhs [] != rhs ['t4']"),)
     assert report.checks == predicted_checks(module, 4)
     _assert_same_reports([(module, 4)])
+
+
+def test_verify_matches_reference_on_square_and_product_flips():
+    # The Adem checks are lookups in each generator's one- and two-square
+    # images, skipped for a sum s only where no image has degree sum s,
+    # whatever the degrees of the table: flips of squares and products,
+    # into right- and wrong-degree targets, on rp/cp models, their
+    # suspensions and wedges.
+    rng = random.Random(20261021)
+    bases = [real_proj(n) for n in (4, 7, 12)] + [complex_proj(n) for n in (3, 6, 12)]
+    bases += [suspend(m) for m in bases[:4]]
+    bases += [wedge(real_proj(9), complex_proj(5)), wedge(suspend(real_proj(6)), real_proj(8))]
+    cases = []
+    for number in range(150):
+        base = rng.choice(bases)
+        sq, products = dict(base.sq), dict(base.products)
+        (g, dg), (h, dh) = rng.choice(base.generators), rng.choice(base.generators)
+        i = rng.randint(1, dg)
+        on_square = number % 3 != 0
+        right_degree = base.gens_in_degree(dg + i if on_square else dg + dh)
+        if right_degree and rng.random() < 0.5:
+            target = rng.choice(right_degree)
+        else:
+            target, _ = rng.choice(base.generators)
+        if on_square:
+            sq[(g, i)] = sq.get((g, i), frozenset()) ^ {target}
+        else:
+            products[pair_key(g, h)] = products.get(pair_key(g, h), frozenset()) ^ {target}
+        cases.append((_with(base, sq=sq, products=products, name=f"{base.name}+flip"), rng.choice([6, 10, 16])))
+    reports = [verify_axioms(m, d) for m, d in cases]
+    assert sum(not r.ok for r in reports) > 75
+    assert sum("(A)" in {f.axiom for f in r.failures} for r in reports) > 20
+    assert any(r.ok for r in reports)
+    _assert_same_reports(cases)
+
+
+def test_verify_cancels_terms_of_a_two_square_image():
+    # Sq1(g) = x + y with Sq1(x) = Sq1(y) = z, so Sq1 Sq1(g) = z + z = 0,
+    # as Sq1 Sq1 = 0 requires; with Sq1(y) = 0 it is z, an (A) failure.
+    sq = {("g", 1): frozenset({"x", "y"}), ("x", 1): frozenset({"z"}), ("y", 1): frozenset({"z"})}
+    cancels = GradedModule(
+        "cancels", (("g", 1), ("x", 2), ("y", 2), ("z", 3)), sq, {("g", "g"): frozenset({"x", "y"})}, 3
+    )
+    assert verify_axioms(cancels, 3).ok
+    broken = _with(cancels, sq={key: t for key, t in sq.items() if key != ("y", 1)}, name="broken")
+    adem = [f.where for f in verify_axioms(broken, 3).failures if f.axiom == "(A)"]
+    assert adem == ["Sq1 Sq1 on g"]
+    _assert_same_reports((m, d) for m in (cancels, broken) for d in (2, 3))
+
+
+def test_verify_does_not_act_through_act_word(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("act_word called")
+
+    monkeypatch.setattr("steenrod.modules.act_word", refuse)
+    with pytest.raises(AssertionError, match="act_word called"):
+        act_on_module(Sq(1), real_proj(2).element("t1"))
+    assert all(verify_axioms(module, 10).ok for module in full_verification_catalog())
