@@ -13,7 +13,8 @@ construction, comparison and ``repr`` once.  ``F2Sum`` also orders and
 prints every sum: its terms in each class's canonical order, joined by
 `` + ``, or ``0`` for zero.  :func:`act_word` applies
 a word of squares to a sum of terms for every action in the package.
-:func:`dumps_json` writes every JSON document the package emits.
+:func:`dumps_json` writes every JSON document the package emits except
+module files, which ``modfile.dumps`` writes straight from the tables.
 """
 
 from __future__ import annotations

@@ -25,8 +25,10 @@ deliberately wrong action table still loads and can be reported on.
 A ``"unit"`` key loads only if it is ``null``: a module has no unit class.
 
 Serialization is canonical: sorted keys, sorted lists, two-space
-indent, as ``f2.dumps_json`` writes every JSON document of the package.
-load(save(M)) reproduces the module exactly.
+indent.  ``dumps`` writes the text straight from the tables, byte for
+byte what ``f2.dumps_json`` (the writer of every other JSON document of
+the package) writes of ``module_to_dict``.  load(save(M)) reproduces the
+module exactly.
 """
 
 from __future__ import annotations
@@ -99,15 +101,19 @@ def module_from_dict(doc: dict) -> GradedModule:
             raise ValueError(f"{context} refers to unknown generator {gid!r}")
         return gid
 
-    def known_set(targets: list, context: str) -> frozenset[str]:
-        """A target list as a set of known ids; the error names its first bad entry."""
+    def known_set(targets: list, context: str, *args: object) -> frozenset[str]:
+        """A target list as a set of known ids; the error names its first bad entry.
+
+        ``context.format(*args)`` names the entry in an error message, and is built only for one.
+        """
         try:
-            value = frozenset(_array(targets, context))
+            value = frozenset(targets if isinstance(targets, (list, tuple)) else _array(targets, context.format(*args)))
             if value <= ids:
                 return value
         except TypeError:  # an unhashable entry
             pass
-        return frozenset(known(t, context) for t in targets)
+        where = context.format(*args)
+        return frozenset(known(t, where) for t in targets)
 
     sq: dict[tuple[str, int], frozenset[str]] = {}
     for gid, table in _object(doc["sq"], "'sq'").items():
@@ -116,8 +122,7 @@ def module_from_dict(doc: dict) -> GradedModule:
             if not isinstance(index, str) or not (index.isascii() and index.isdecimal() and index[0] != "0"):
                 raise ValueError(f"sq index {index!r} for {gid!r} must be a positive integer in plain decimal")
             i = int(index)
-            context = f"Sq{i}({gid})"
-            value = known_set(targets, context)
+            value = known_set(targets, "Sq{}({})", i, gid)
             if value:
                 sq[(gid, i)] = value
 
@@ -127,21 +132,61 @@ def module_from_dict(doc: dict) -> GradedModule:
         parts = key.split(",") if isinstance(key, str) else ()
         if len(parts) != 2:
             raise ValueError(f"product key {key!r} must be 'id,id'")
-        g, h = (known(p, "product table") for p in parts)
+        g, h = parts if parts[0] in ids and parts[1] in ids else (known(p, "product table") for p in parts)
         pair = pair_key(g, h)
         if pair in pairs:
             raise ValueError(f"product key {key!r} repeats the pair of an earlier key")
         pairs.add(pair)
-        context = f"{g} cup {h}"
-        value = known_set(targets, context)
+        value = known_set(targets, "{} cup {}", g, h)
         if value:
             products[pair] = value
 
     return GradedModule(name, tuple(generators), sq, products, top_degree)
 
 
+class _Quoted(dict):
+    """Ids mapped to their JSON strings; any other value is written by ``dumps_json``."""
+
+    def __missing__(self, value: object) -> str:
+        return dumps_json(value)
+
+
+def _lines(items: list[str], pad: str, brackets: str) -> str:
+    """``items`` one to a line inside ``brackets``, indented two spaces past ``pad``."""
+    inner = pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1] if items else brackets
+
+
 def dumps(module: GradedModule) -> str:
-    return dumps_json(module_to_dict(module)) + "\n"
+    """``dumps_json(module_to_dict(module)) + "\\n"``, written straight from the tables.
+
+    A generator id that ``dumps_json`` would not escape is quoted as it is;
+    any other id, and the name, is written by ``dumps_json``.
+    """
+    quote, generators = _Quoted(), []
+    for gid, d in module.generators:
+        if type(gid) is str and gid.isascii() and gid.isprintable() and '"' not in gid and "\\" not in gid:
+            quote[gid] = f'"{gid}"'
+        generators.append(f"[\n      {quote[gid]},\n      {d if type(d) is int else dumps_json(d)}\n    ]")
+    sep6, sep8 = ",\n      ", ",\n        "  # no backslash may stand in an f-string expression before 3.12
+    by_gen: dict = {}  # an entry '"i": ...' sorts where str(i) does: '"' is below every digit and '-'
+    for (gid, i), targets in module.sq.items():
+        by_gen.setdefault(gid, []).append(
+            f'"{i}": [\n        {sep8.join(map(quote.__getitem__, sorted(targets)))}\n      ]'
+            if targets else f'"{i}": []'
+        )
+    squares = [quote[gid] + ": " + _lines(sorted(by_gen[gid]), "\n    ", "{}") for gid in sorted(by_gen)]
+    # Keys that coincide (ids with commas) keep the last pair in pair order, as module_to_dict does.
+    cups = {f"{g},{h}": (g in quote and h in quote, targets) for (g, h), targets in sorted(module.products.items())}
+    products = [
+        (f'"{key}"' if plain else dumps_json(key))
+        + (f": [\n      {sep6.join(map(quote.__getitem__, sorted(targets)))}\n    ]" if targets else ": []")
+        for key, (plain, targets) in sorted(cups.items())
+    ]
+    return '{\n  "generators": %s,\n  "name": %s,\n  "products": %s,\n  "sq": %s,\n  "top_degree": %s\n}\n' % (
+        _lines(generators, "\n  ", "[]"), dumps_json(module.name), _lines(products, "\n  ", "{}"),
+        _lines(squares, "\n  ", "{}"), dumps_json(module.top_degree),
+    )
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

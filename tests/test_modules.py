@@ -6,6 +6,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steenrod import modfile
 from steenrod.adem import AdemElement, Sq, adem_rewrite
@@ -444,6 +446,98 @@ def test_module_file_text_is_what_json_dumps_writes():
     for module in [*full_verification_catalog(), real_proj(40)]:
         expected = json.dumps(modfile.module_to_dict(module), sort_keys=True, indent=2) + "\n"
         assert modfile.dumps(module) == expected, module.name
+
+
+def _json_dumps_text(module: GradedModule) -> str:
+    """The module file as the json module writes the dict form: the writer's oracle."""
+    return json.dumps(modfile.module_to_dict(module), sort_keys=True, indent=2) + "\n"
+
+
+def test_module_file_writer_escapes_ids_and_name_as_json_does():
+    # GradedModule does not validate ids: a library-built module may hold any string.
+    ids = ['a"b', "\u00e9", "c\\d", "e"]
+    module = GradedModule(
+        'x"\u00e9\\\n',
+        tuple((gid, d) for d, gid in enumerate(ids, 1)),
+        {('a"b', 1): frozenset({"\u00e9", "e"}), ("c\\d", 1): frozenset({"e"}), ("e", 1): frozenset({'a"b'})},
+        {pair_key('a"b', "c\\d"): frozenset({"e", "\u00e9"}), ("e", "\u00e9"): frozenset({"c\\d"})},
+        4,
+    )
+    text = modfile.dumps(module)
+    assert text == _json_dumps_text(module)
+    assert '"a\\"b"' in text and '"\\u00e9"' in text and '"c\\\\d"' in text
+
+
+def test_module_file_writer_keeps_the_last_of_coinciding_product_keys():
+    # ("a", "b,c") and ("a,b", "c") both write the key "a,b,c"; the dict form keeps the later pair.
+    module = GradedModule("m", (("a", 1), ("a,b", 1), ("b,c", 1), ("c", 1), ("x", 2), ("y", 2)), {},
+                          {("a,b", "c"): frozenset({"y"}), ("a", "b,c"): frozenset({"x"})}, 2)
+    text = modfile.dumps(module)
+    assert text == _json_dumps_text(module)
+    assert '"a,b,c": [\n      "y"\n    ]' in text
+
+
+def test_module_file_writer_sorts_square_indices_as_strings():
+    module = GradedModule("m", (("a", 1), ("b", 3), ("c", 11)),
+                          {("a", 2): frozenset({"b"}), ("a", 10): frozenset({"c"})}, {}, 11)
+    text = modfile.dumps(module)
+    assert text == _json_dumps_text(module)
+    assert text.index('"10"') < text.index('"2"')
+
+
+def test_module_file_writer_keeps_empty_target_sets_and_corrupt_indices():
+    # Empty sets and indices <= 0 do not occur in loaded tables, only in hand-built ones.
+    module = GradedModule("m", (("a", 1), ("b", 2)),
+                          {("a", 1): frozenset(), ("a", 0): frozenset({"a"}), ("b", -1): frozenset({"a"})},
+                          {("a", "b"): frozenset(), ("a", "a"): frozenset({"b"})}, 2)
+    text = modfile.dumps(module)
+    assert text == _json_dumps_text(module)
+    assert '"1": []' in text and '"a,b": []' in text and '"-1": [' in text and '"0": [' in text
+
+
+def test_module_file_writer_on_the_point_and_large_models():
+    assert modfile.dumps(point()) == _json_dumps_text(point())
+    assert '"generators": [],' in modfile.dumps(point())
+    for module in [real_proj(256), complex_proj(256)]:
+        assert modfile.dumps(module) == _json_dumps_text(module), module.name
+
+
+_VALID_IDS = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,3}", fullmatch=True)
+
+
+@st.composite
+def _small_modules(draw) -> tuple[GradedModule, bool]:
+    """A small table and whether it loads back unchanged.
+
+    A loadable table has valid generator ids, positive indices, nonempty
+    target sets of generators and products keyed by ``pair_key``; any other
+    holds arbitrary strings, indices down to -2 and empty sets.
+    """
+    valid = draw(st.booleans())
+    ids = draw(st.lists(_VALID_IDS if valid else st.text(max_size=4), unique=True, max_size=5))
+    generators = tuple((gid, draw(st.integers(1, 12))) for gid in ids)
+    pool = ids if valid else ids + draw(st.lists(st.text(max_size=3), max_size=2))
+    sq, products = {}, {}
+    if pool:
+        targets = st.frozensets(st.sampled_from(pool), min_size=1 if valid else 0, max_size=3)
+        for _ in range(draw(st.integers(0, 6))):
+            sq[(draw(st.sampled_from(pool)), draw(st.integers(1 if valid else -2, 12)))] = draw(targets)
+        for _ in range(draw(st.integers(0, 6))):
+            g, h = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+            products[pair_key(g, h) if valid else (g, h)] = draw(targets)
+    return GradedModule(draw(st.text(max_size=6)), generators, sq, products, draw(st.integers(-3, 40))), valid
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_modules())
+def test_module_file_writer_matches_json_dumps_on_small_tables(case):
+    module, valid = case
+    text = modfile.dumps(module)
+    assert text == _json_dumps_text(module)
+    if valid:
+        again = modfile.loads(text)
+        assert (again.name, again.generators, again.sq, again.products, again.top_degree) == (
+            module.name, module.generators, module.sq, module.products, module.top_degree)
 
 
 def test_module_file_loads_semantically_wrong_tables():
