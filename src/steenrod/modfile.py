@@ -63,9 +63,10 @@ def _array(value, what: str) -> list | tuple:
     return value
 
 
-def _object(value, what: str) -> dict:
+def _object(value, what: str, *args: object) -> dict:
+    """``value`` if it is a dict; ``what.format(*args)`` is built only for the error."""
     if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object")
+        raise ValueError(f"{what.format(*args)} must be a JSON object")
     return value
 
 
@@ -118,7 +119,7 @@ def module_from_dict(doc: dict) -> GradedModule:
     sq: dict[tuple[str, int], frozenset[str]] = {}
     for gid, table in _object(doc["sq"], "'sq'").items():
         known(gid, "sq table")
-        for index, targets in _object(table, f"sq table of {gid!r}").items():
+        for index, targets in _object(table, "sq table of {!r}", gid).items():
             if not isinstance(index, str) or not (index.isascii() and index.isdecimal() and index[0] != "0"):
                 raise ValueError(f"sq index {index!r} for {gid!r} must be a positive integer in plain decimal")
             i = int(index)

@@ -333,11 +333,13 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
     that compare two empty sums are counted but not evaluated: the Cartan
     checks of a pair g, h where no product key with a nonzero target
     joins a generator of g's orbit (g and its squares) to one of h's; and
-    the Adem checks Sq^n Sq^k on g where none of g's nonzero Sq^s and
-    Sq^a Sq^b has s or a + b equal to n + k.  The words of Sq^n Sq^k and
-    of its one-pair expansion all have length <= 2 and sum n + k, so each
-    Adem check reads its sides from one dict of those images per
-    generator, and the skip holds for every table, exact degrees or not.
+    the Adem checks on g that no word of g's nonzero images Sq^s and
+    Sq^a Sq^b enters.  The words of Sq^n Sq^k and of its one-pair
+    expansion all have length <= 2 and sum n + k, so only the checks that
+    some present image word enters are evaluated: each image is added
+    into the sides of the checks whose composite or expansion holds its
+    word, and a check fails where its two sides differ.  This holds for
+    every table, exact degrees or not.
 
     With exact degrees the Cartan checks of a linked pair are decided at
     once, as the total-square identity Sq(g cup h) = Sq(g) cup Sq(h) on
@@ -356,32 +358,37 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
 
     # Table consistency: stored squares respect degrees and instability.
     # The entries that pass fill the square table the other checks read.
+    # Only the failures are sorted: by entry key, then target ("" for the
+    # entry's own failure), squares before products.
     checks = len(module.sq) + len(module.products)
-    for (gid, i), targets in sorted(module.sq.items()):
-        d = module.degree_of(gid)
+    degrees = module._degrees
+    square_failures: list[tuple[tuple, AxiomFailure]] = []
+    for (gid, i), targets in module.sq.items():
+        d = degrees[gid]
         if i < 1:
-            fail("table", f"Sq{i}({gid})", "stored square index must be >= 1")
+            detail = "stored square index must be >= 1"
+            square_failures.append((((gid, i), ""), AxiomFailure("table", f"Sq{i}({gid})", detail)))
             continue
         if i > d:
-            fail("(I2)", f"Sq{i}({gid})", f"stored entry above generator degree {d}")
+            detail = f"stored entry above generator degree {d}"
+            square_failures.append((((gid, i), ""), AxiomFailure("(I2)", f"Sq{i}({gid})", detail)))
         elif targets:
             table.setdefault(gid, {})[i] = targets
-        for t in sorted(targets):
-            if module.degree_of(t) != d + i:
-                fail(
-                    "degree",
-                    f"Sq{i}({gid})",
-                    f"target {t} has degree {module.degree_of(t)}, expected {d + i}",
-                )
-    for (g, h), targets in sorted(module.products.items()):
-        dsum = module.degree_of(g) + module.degree_of(h)
-        for t in sorted(targets):
-            if module.degree_of(t) != dsum:
-                fail(
-                    "degree",
-                    f"{g} cup {h}",
-                    f"target {t} has degree {module.degree_of(t)}, expected {dsum}",
-                )
+        for t in targets:
+            if degrees[t] != d + i:
+                detail = f"target {t} has degree {degrees[t]}, expected {d + i}"
+                square_failures.append((((gid, i), t), AxiomFailure("degree", f"Sq{i}({gid})", detail)))
+    product_failures: list[tuple[tuple, AxiomFailure]] = []
+    for (g, h), targets in module.products.items():
+        dsum = degrees[g] + degrees[h]
+        for t in targets:
+            if degrees[t] != dsum:
+                detail = f"target {t} has degree {degrees[t]}, expected {dsum}"
+                product_failures.append((((g, h), t), AxiomFailure("degree", f"{g} cup {h}", detail)))
+    for found in (square_failures, product_failures):
+        # Stable, so an entry's own failure stays ahead of a target named "".
+        found.sort(key=lambda item: item[0])
+        failures.extend(failure for _, failure in found)
     # With no failure so far every square and product lands in its
     # expected degree, which the Cartan pass's total-square test needs.
     degrees_exact = not failures
@@ -473,43 +480,55 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
 
     # (A) Adem identities, one check per generator in range and pair
     # (n, k) with n < 2k and n + k <= max_degree, against the one-pair
-    # expansion alone (no normalize).  ``images`` holds a generator's
-    # nonzero Sq^s under (s,) and Sq^a Sq^b, a + b <= max_degree, under
-    # (a, b); the pairs of sum s are evaluated on it only where some key
-    # sums to s, since elsewhere both sides are sums of absent entries.
-    checks += len(in_range) * sum(min(2 * k - 1, max_degree - k) for k in range(1, max_degree))
-    if table:
-        evaluated: dict[int, list[tuple[str, dict]]] = {s: [] for s in range(1, max_degree + 1)}
-        for gid, _ in in_range:
-            images: dict[tuple[int, ...], frozenset[str] | set[str]] = {}
-            for b, xs in table.get(gid, _NO_SQUARES).items():
-                images[(b,)] = xs
-                by_a: dict[int, set[str]] = {}
-                for x in xs:
-                    for a, ys in table.get(x, _NO_SQUARES).items():
-                        if a + b <= max_degree:
-                            by_a.setdefault(a, set()).symmetric_difference_update(ys)
-                images.update(((a, b), ys) for a, ys in by_a.items() if ys)
-            for s in {sum(word) for word in images}:
-                evaluated[s].append((gid, images))
-        for k in range(1, max_degree):
-            for n in range(1, min(2 * k, max_degree - k + 1)):
-                gens = evaluated[n + k]
-                if not gens:
-                    continue
-                rhs_words = adem_rewrite(n, k)
-                for gid, images in gens:
-                    rhs = _EMPTY
-                    for word in rhs_words:
-                        rhs ^= images.get(word, _EMPTY)
-                    if images.get((n, k), _EMPTY) != rhs:
-                        fail(
-                            "(A)",
-                            f"Sq{n} Sq{k} on {gid}",
-                            "composite disagrees with its Adem expansion",
-                        )
+    # expansion alone (no normalize): min(2k - 1, max_degree - k) for each
+    # k, summed in closed form (2k - 1 is the smaller for k <= m).
+    # ``images`` holds a generator's nonzero Sq^s under (s,) and Sq^a Sq^b,
+    # a + b <= max_degree, under (a, b).  Each image is XORed into the
+    # sides of the checks whose composite or expansion holds its word; a
+    # check fails where that sum is nonzero.
+    m = (max_degree + 1) // 3
+    checks += len(in_range) * (m * m + (max_degree - 1 - m) * (max_degree - m) // 2 if max_degree > 1 else 0)
+    enters: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    adem_failures: list[tuple[int, int, int]] = []
+    for index, (gid, _) in enumerate(in_range):
+        images: dict[tuple[int, ...], frozenset[str] | set[str]] = {}
+        for b, xs in table.get(gid, _NO_SQUARES).items():
+            images[(b,)] = xs
+            by_a: dict[int, set[str]] = {}
+            for x in xs:
+                for a, ys in table.get(x, _NO_SQUARES).items():
+                    if a + b <= max_degree:
+                        by_a.setdefault(a, set()).symmetric_difference_update(ys)
+            images.update(((a, b), ys) for a, ys in by_a.items() if ys)
+        sides: dict[tuple[int, int], frozenset[str]] = {}
+        for word, image in images.items():
+            if len(word) == 2 and word[0] < 2 * word[1]:
+                # An inadmissible word is the composite of one check alone.
+                key = (word[1], word[0])
+                sides[key] = sides.get(key, _EMPTY) ^ image
+                continue
+            pairs = enters.get(word)
+            if pairs is None:
+                pairs = enters[word] = _adem_checks(word)
+            for key in pairs:
+                sides[key] = sides.get(key, _EMPTY) ^ image
+        adem_failures += [(k, n, index) for (k, n), side in sides.items() if side]
+    for k, n, index in sorted(adem_failures):
+        fail("(A)", f"Sq{n} Sq{k} on {in_range[index][0]}", "composite disagrees with its Adem expansion")
 
     return VerifyReport(module.name, max_degree, checks, tuple(failures))
+
+
+def _adem_checks(word: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The checks (k, n) whose Adem expansion holds the admissible ``word`` of length <= 2.
+
+    The expansion of Sq^n Sq^k has the words (n + k - c, c), 1 <= c <= n / 2,
+    and (n + k,), so a word of sum s and second square j (0 if it has one
+    square) enters only checks with n + k = s and 2j <= n < 2k.
+    """
+    s = sum(word)
+    j = word[1] if len(word) == 2 else 0
+    return [(s - n, n) for n in range(max(1, 2 * j), (2 * s - 1) // 3 + 1) if word in adem_rewrite(n, s - n)]
 
 
 class Pi4Report(Record):

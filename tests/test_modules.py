@@ -318,6 +318,13 @@ def test_module_file_rejects_bad_documents():
         )
 
 
+def test_module_file_names_a_square_table_that_is_not_an_object():
+    with pytest.raises(ValueError, match=r"^sq table of 't1' must be a JSON object$"):
+        modfile.module_from_dict(_document(sq={"t1": ["t2"]}))
+    with pytest.raises(ValueError, match=r"^'sq' must be a JSON object$"):
+        modfile.module_from_dict(_document(sq=[]))
+
+
 def _loads_with(generator_id: str = "t1", index: str = "1") -> bool:
     """Whether a one-generator document with this id and square index loads."""
     doc = {"name": "x", "top_degree": 2, "generators": [[generator_id, 1]],
@@ -878,6 +885,64 @@ def test_verify_cancels_terms_of_a_two_square_image():
     adem = [f.where for f in verify_axioms(broken, 3).failures if f.axiom == "(A)"]
     assert adem == ["Sq1 Sq1 on g"]
     _assert_same_reports((m, d) for m in (cancels, broken) for d in (2, 3))
+
+
+def test_verify_pushes_one_square_into_every_check_it_enters():
+    # Sq5 is a word of the expansions of both Sq1 Sq4 (= Sq5) and Sq2 Sq3
+    # (= Sq5 + Sq4 Sq1), whose composites on g are zero, so Sq5(g) = x
+    # breaks both checks, reported in (k, n) order.
+    module = GradedModule(
+        "sq5", (("g", 5), ("x", 10)), {("g", 5): frozenset({"x"})}, {("g", "g"): frozenset({"x"})}, 10
+    )
+    assert [(f.axiom, f.where) for f in verify_axioms(module, 10).failures] == [
+        ("(A)", "Sq2 Sq3 on g"),
+        ("(A)", "Sq1 Sq4 on g"),
+    ]
+    _assert_same_reports([(module, 10)])
+
+
+def test_verify_orders_adem_failures_by_pair_then_generator():
+    # On a, the composite Sq1 Sq2(a) = Sq1(v) = w2 breaks Sq1 Sq2 = Sq3;
+    # on b, the one-square image Sq3(b) = w breaks the same check, and the
+    # composite Sq1 Sq1(b) = q breaks Sq1 Sq1 = 0.  Failures come by k,
+    # then n, then the generator's place, not generator by generator.
+    gens = (("a", 2), ("b", 3), ("p", 4), ("v", 4), ("q", 5), ("w2", 5), ("w", 6))
+    sq = {
+        ("a", 2): frozenset({"v"}),
+        ("v", 1): frozenset({"w2"}),
+        ("b", 1): frozenset({"p"}),
+        ("p", 1): frozenset({"q"}),
+        ("b", 3): frozenset({"w"}),
+    }
+    products = {("a", "a"): frozenset({"v"}), ("b", "b"): frozenset({"w"})}
+    module = GradedModule("two_gens", gens, sq, products, 6)
+    adem = [f.where for f in verify_axioms(module, 6).failures if f.axiom == "(A)"]
+    assert adem == ["Sq1 Sq1 on b", "Sq1 Sq2 on a", "Sq1 Sq2 on b"]
+    _assert_same_reports((module, d) for d in (3, 6, 8))
+
+
+def test_verify_sorts_consistency_failures_whatever_the_insertion_order():
+    # Both tables are filled in reverse key order; the failures come by
+    # (generator, index) and then target, an entry's own failure first,
+    # and the products after the squares.
+    gens = (("g", 1), ("h", 2), ("x", 3), ("y", 4))
+    sq = {
+        ("h", 1): frozenset({"y", "g"}),
+        ("g", 2): frozenset({"y"}),
+        ("g", 0): frozenset({"h"}),
+    }
+    products = {("g", "x"): frozenset({"h"}), ("g", "h"): frozenset({"y"})}
+    module = GradedModule("reversed", gens, sq, products, 4)
+    assert verify_axioms(module, 2).failures == (
+        AxiomFailure("table", "Sq0(g)", "stored square index must be >= 1"),
+        AxiomFailure("(I2)", "Sq2(g)", "stored entry above generator degree 1"),
+        AxiomFailure("degree", "Sq2(g)", "target y has degree 4, expected 3"),
+        AxiomFailure("degree", "Sq1(h)", "target g has degree 1, expected 3"),
+        AxiomFailure("degree", "Sq1(h)", "target y has degree 4, expected 3"),
+        AxiomFailure("degree", "g cup h", "target y has degree 4, expected 3"),
+        AxiomFailure("degree", "g cup x", "target h has degree 2, expected 4"),
+    )
+    _assert_same_reports((module, d) for d in (2, 4))
 
 
 def test_verify_does_not_act_through_act_word(monkeypatch):
