@@ -319,8 +319,9 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
 
     Covers table consistency, the identity and instability rules, the
     top-square rule, the Cartan formula on all generator pairs,
-    additivity, and the Adem identities evaluated through the action on
-    both sides.  Failures are collected in the report, not raised.
+    additivity, and the Adem identities, both sides of each read from
+    its generator's table of one- and two-square images.  Failures are
+    collected in the report, not raised.
 
     The action is read from one square table built here: each
     generator's nonzero Sq^i with 1 <= i <= its degree, exactly what
@@ -330,25 +331,28 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
     degrees.  (I1) and additivity are counted but never evaluated: they
     hold for every table, since :func:`act_word` returns a sum unchanged
     under the empty word and is a fold of symmetric differences.  Checks
-    that compare two empty sums are counted but not evaluated: the Cartan
-    checks of a pair g, h where no product key with a nonzero target
-    joins a generator of g's orbit (g and its squares) to one of h's; and
-    the Adem checks on g that no word of g's nonzero images Sq^s and
-    Sq^a Sq^b enters.  The words of Sq^n Sq^k and of its one-pair
-    expansion all have length <= 2 and sum n + k, so only the checks that
-    some present image word enters are evaluated: each image is added
-    into the sides of the checks whose composite or expansion holds its
-    word, and a check fails where its two sides differ.  This holds for
-    every table, exact degrees or not.
+    that compare two empty sums are counted but not evaluated.  The
+    Cartan checks of a pair g, h (the parts of both sides in degrees
+    dg + dh + 1 ... 2(dg + dh)) are skipped by one bound: with no
+    product key none is evaluated, since every term is a product; with
+    exact degrees only pairs with dg + dh below the top degree of all
+    generators are, since no generator lies above it; after any
+    consistency failure every pair with dg + dh <= max_degree is.  The
+    Adem checks on g that no word of g's nonzero images Sq^s and
+    Sq^a Sq^b enters are skipped: the words of Sq^n Sq^k and of its
+    one-pair expansion all have length <= 2 and sum n + k, so each image
+    is added into the sides of the checks whose composite or expansion
+    holds its word, and a check fails where its two sides differ.  This
+    holds for every table, exact degrees or not.
 
-    With exact degrees the Cartan checks of a linked pair are decided at
-    once, as the total-square identity Sq(g cup h) = Sq(g) cup Sq(h) on
-    orbit sets, Sq = sum of all Sq^i (Milnor 1958): Sq^i(x) lies in
-    degree |x| + i, so an orbit is the total square of its generator,
-    and the degree-(dg + dh + n) parts of the two sides are the two sides
-    of the check for n.  Only a pair whose identity fails, or any linked
-    pair when some degree is wrong, is compared degree by degree, which
-    names each failing n as before.
+    With exact degrees the Cartan checks of a pair are decided at once,
+    as the total-square identity Sq(g cup h) = Sq(g) cup Sq(h) on orbit
+    sets (g and its squares), Sq = sum of all Sq^i (Milnor 1958):
+    Sq^i(x) lies in degree |x| + i, so an orbit is the total square of
+    its generator, and the degree-(dg + dh + n) parts of the two sides
+    are the two sides of the check for n.  Only a pair whose identity
+    fails, or any pair when some degree is wrong, is compared degree by
+    degree, which names each failing n as before.
     """
     failures: list[AxiomFailure] = []
     table: _SquareTable = {}
@@ -413,27 +417,21 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
     # (C) Cartan formula on all generator pairs.  Sq^n(g cup h) is
     # paired against the sum of Sq^i(g) cup Sq^j(h) over the nonzero
     # squares with i + j = n, Sq^0 included; every other term is zero.
-    # Every term on either side is a product of an element of g's orbit
-    # (g and its squares) with one of h's, so where no product key with a
-    # nonzero target joins the two orbits, both sides are zero.  With
-    # exact degrees that skips every pair with dg + dh above the top
-    # generator degree: a linking product lands in degree >= dg + dh.
+    # Every term on either side is a product, so with no product key
+    # both sides are zero.  With exact degrees both sides lie in degree
+    # dg + dh + n, so a pair with dg + dh at or above the top degree of
+    # all generators (not only those in range: a square may leave the
+    # range) compares two empty sums.
     checks += sum(
         dg + dh for a, (_, dg) in enumerate(in_range) for _, dh in in_range[a:] if dg + dh <= max_degree
     )
-    partners: dict[str, set[str]] = {}
-    for (g, h), targets in products.items():
-        if targets:
-            partners.setdefault(g, set()).add(h)
-            partners.setdefault(h, set()).add(g)
-    if partners:
+    limit = max_degree
+    if products and degrees_exact:
+        limit = min(max_degree, max(d for _, d in module.generators) - 1)
         orbit = {gid: frozenset({gid}).union(*table.get(gid, _NO_SQUARES).values()) for gid, _ in in_range}
-        reach = {gid: set().union(*(partners.get(x, _EMPTY) for x in xs)) for gid, xs in orbit.items()}
-    for a, (g, dg) in enumerate(in_range if partners else ()):
-        reach_g = reach[g]
-        orbit_g = orbit[g]
+    for a, (g, dg) in enumerate(in_range if products else ()):
         for h, dh in in_range[a:]:
-            if dg + dh > max_degree or reach_g.isdisjoint(orbit[h]):
+            if dg + dh > limit:
                 continue
             product = products.get((g, h) if g <= h else (h, g), _EMPTY)
             if degrees_exact:
@@ -446,7 +444,7 @@ def verify_axioms(module: GradedModule, max_degree: int) -> VerifyReport:
                     lhs_total ^= orbit[t]
                 rhs_total: set[str] = set()
                 orbit_h = orbit[h]
-                for x in orbit_g:
+                for x in orbit[g]:
                     for y in orbit_h:
                         rhs_total ^= products.get((x, y) if x <= y else (y, x), _EMPTY)
                 if lhs_total == rhs_total:

@@ -839,6 +839,34 @@ def test_verify_reports_a_cartan_pair_failing_in_one_degree():
     _assert_same_reports([(module, 4)])
 
 
+def test_verify_bounds_cartan_pairs_by_the_top_degree_of_all_generators():
+    # Sq4(g) = x lies above max_degree 5, and x cup h = z, so Sq4(g cup h)
+    # = 0 against Sq4(g) cup h = z.  A bound read from the in-range
+    # generators (top degree 4) would skip the pair g, h with dg + dh = 5.
+    gap = GradedModule(
+        "gap",
+        (("g", 4), ("h", 1), ("x", 8), ("z", 9)),
+        {("g", 4): frozenset({"x"})},
+        {("g", "g"): frozenset({"x"}), ("h", "x"): frozenset({"z"})},
+        9,
+    )
+    report = verify_axioms(gap, 5)
+    assert report.failures == (AxiomFailure("(C)", "Sq4(g cup h)", "lhs [] != rhs ['z']"),)
+    assert report.checks == predicted_checks(gap, 5)
+    # Without t3 cup t4 = t7, the pair t3, t4 has dg + dh = 7, one below
+    # the top degree 8, and fails Sq1(t3 cup t4) = 0 against t4 cup t4 = t8.
+    rp8 = real_proj(8)
+    module = _with(rp8, products={key: targets for key, targets in rp8.products.items() if key != ("t3", "t4")})
+    for max_degree in (7, 8, 10):
+        report = verify_axioms(module, max_degree)
+        assert report.failures == (
+            AxiomFailure("(C)", "Sq2(t2 cup t3)", "lhs [] != rhs ['t7']"),
+            AxiomFailure("(C)", "Sq1(t3 cup t4)", "lhs [] != rhs ['t8']"),
+        )
+        assert report.checks == predicted_checks(module, max_degree)
+    _assert_same_reports([(gap, 5), (module, 7), (module, 8), (module, 10)])
+
+
 def test_verify_matches_reference_on_square_and_product_flips():
     # The Adem checks are lookups in each generator's one- and two-square
     # images, skipped for a sum s only where no image has degree sum s,
