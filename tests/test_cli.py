@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, exit codes, JSON stability."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -482,6 +483,32 @@ print(*sorted(m.removeprefix("steenrod.") for m in sys.modules if m.startswith("
         out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
         layers = " ".join(sorted(["adem", "cli", "f2", *extra.split()]))
         assert out.stdout.splitlines() == [f"{code} []", layers], argv
+
+
+def test_main_leaves_the_heap_collectable(capsys):
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "basis", "--degree", "2") == (0, "Sq2\n", "")
+    assert gc.get_freeze_count() == frozen
+
+
+def test_the_process_entry_freezes_the_heap_before_exit():
+    probe = """
+import gc, runpy, sys
+sys.argv = ["steenrod", "basis", "--degree", "2"]
+try:
+    runpy.run_module("steenrod.cli", run_name="__main__")
+except SystemExit as exit:
+    print(repr(exit.code), gc.get_freeze_count() > 0)
+"""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert (out.stdout, out.stderr) == ("Sq2\n0 True\n", "")
+
+
+def test_the_installed_script_is_the_process_entry():
+    pyproject = (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8")  # no tomllib on 3.10
+    scripts = pyproject.partition("[project.scripts]\n")[2].partition("\n\n")[0]
+    assert scripts.splitlines() == ['steenrod = "steenrod.cli:run"']
 
 
 def test_a_closed_stdout_is_not_a_usage_error():

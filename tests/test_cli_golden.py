@@ -4,7 +4,10 @@
 and the sha256 of stdout and of stderr.  The test replays every call in
 process through :func:`steenrod.cli.main`, with the engine's caches
 emptied first so that no call depends on the ones before it (the step
-budget counts only rewrites that miss the normal-form cache).
+budget counts only rewrites that miss the normal-form cache).  A few
+calls, :data:`PROCESS_CALLS`, are replayed again as ``python -m
+steenrod.cli`` processes, which pins the bytes a process writes on its
+way out as well.
 
 Regenerate the file, after a deliberate change of output, with::
 
@@ -15,12 +18,18 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import steenrod
 from steenrod import cli
 
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _calls() -> list[list[str]]:
@@ -61,6 +70,20 @@ def _calls() -> list[list[str]]:
 
 CALLS = _calls()
 
+#: Recorded calls replayed as processes: exits 0, 1, 2 and 3, and non-ASCII text on stdout.
+PROCESS_CALLS = [
+    call + tail
+    for call in (
+        ["basis", "--degree", "5"],
+        ["derive-adem", "--degree", "2"],
+        ["normalize", "Sq0"],
+        ["normalize", "Sq6 Sq11 Sq23 Sq47", "--step-budget", "1"],
+        ["verify", "--module", "rp2000", "--max-degree", "2"],
+        ["distinguish-pi4"],
+    )
+    for tail in ([], ["--json"])
+]
+
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -85,6 +108,19 @@ def test_cli_output_matches_the_golden_file():
     assert [entry["argv"] for entry in golden] == CALLS
     mismatches = [" ".join(entry["argv"]) for entry in golden if replay(entry["argv"]) != entry]
     assert mismatches == []
+
+
+@pytest.mark.parametrize("argv", PROCESS_CALLS, ids=" ".join)
+def test_a_process_writes_the_golden_output(argv):
+    (entry,) = [entry for entry in json.loads(GOLDEN.read_text(encoding="utf-8")) if entry["argv"] == argv]
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUTF8": "1"}
+    proc = subprocess.run([sys.executable, "-m", "steenrod.cli", *argv], env=env, capture_output=True, timeout=60)
+    assert {
+        "argv": argv,
+        "exit": proc.returncode,
+        "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
+        "stderr_sha256": hashlib.sha256(proc.stderr).hexdigest(),
+    } == entry
 
 
 if __name__ == "__main__":
